@@ -17,14 +17,8 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    cases = [
-        ("l1", metrics.l1_norm, False),
-        ("frobenius", metrics.frobenius_norm, False),
-        ("frobenius-sq", metrics.frobenius_norm_sq, False),
-        ("nuclear", metrics.nuclear_norm, False),
-        ("l1 + nuclear", metrics.msr_criterion(1.0), False),
-        ("gram-l1 (Z>=0)", metrics.gram_l1, True),
-        ("rank", metrics.rank_criterion, False),
+    cases = [(name, f, nonneg) for name, (f, nonneg, _) in metrics.EBD_TABLE.items()]
+    cases += [
         ("sum |Z|^0.5", metrics.power_criterion(0.5), False),
         ("(sum |Z|^2)^0.5", metrics.power_criterion(2.0, 0.5), False),
     ]

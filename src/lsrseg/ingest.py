@@ -102,10 +102,7 @@ def load_csv(source) -> DataMatrix:
     """
     manifest = source if isinstance(source, DatasetManifest) else None
     path = Path(manifest.path if manifest else source)
-    try:
-        text = path.read_text()
-    except OSError:
-        raise
+    text = path.read_text()
     rows: list[list[float]] = []
     labels: np.ndarray | None = None
     width: int | None = None

@@ -1,8 +1,8 @@
 """Dense matrix primitives shared by every other module.
 
 Inputs are validated, finite float64 matrices kept in column-major order so
-the per-column solver loops touch contiguous memory. Factorizations are
-delegated to LAPACK through numpy/scipy.
+column slices touch contiguous memory. Factorizations are delegated to
+LAPACK through numpy/scipy.
 """
 
 from __future__ import annotations

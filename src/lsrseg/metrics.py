@@ -7,7 +7,6 @@ recorded counterexample that can be serialized and inspected.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -15,8 +14,6 @@ from scipy.optimize import linear_sum_assignment
 
 from . import linalg
 from .solvers import Coefficients, check_unit_columns, data_array
-
-HUNGARIAN_THRESHOLD = 8  # exhaustive permutation search up to 8 clusters
 
 
 class LengthMismatch(ValueError):
@@ -31,7 +28,6 @@ class SegmentationReport:
     aligned_permutation: dict[int, int] | None
     block_diag_violation: float
     wall_times: dict[str, float] = field(default_factory=dict)
-    affinity_seconds: float = 0.0
     n_samples: int = 0
     n_clusters: int = 0
     predicted_labels: list[int] = field(default_factory=list)
@@ -99,8 +95,8 @@ def align_clusters(pred, truth) -> tuple[float, dict[int, int]]:
     """Best-permutation alignment of predicted onto true cluster labels.
 
     Returns (error_rate, mapping) where mapping sends predicted label ids
-    to the true label ids they were matched with. Exhaustive search is used
-    up to 8 clusters, the Hungarian assignment beyond that.
+    to the true label ids they were matched with, by an exact Hungarian
+    assignment on the confusion matrix.
     """
     p = _labels_array(pred)
     t = _labels_array(truth)
@@ -116,26 +112,9 @@ def align_clusters(pred, truth) -> tuple[float, dict[int, int]]:
     confusion = np.zeros((kp, kt), dtype=int)
     np.add.at(confusion, (p_inv, t_inv), 1)
 
-    if max(kp, kt) <= HUNGARIAN_THRESHOLD:
-        size = max(kp, kt)
-        padded = np.zeros((size, size), dtype=int)
-        padded[:kp, :kt] = confusion
-        best_perm, best_matches = None, -1
-        for perm in itertools.permutations(range(size)):
-            matches = int(padded[np.arange(size), perm].sum())
-            if matches > best_matches:
-                best_matches, best_perm = matches, perm
-        mapping = {
-            int(p_ids[a]): int(t_ids[best_perm[a]])
-            for a in range(kp)
-            if best_perm[a] < kt
-        }
-        matches = best_matches
-    else:
-        rows, cols = linear_sum_assignment(-confusion)
-        matches = int(confusion[rows, cols].sum())
-        mapping = {int(p_ids[a]): int(t_ids[b]) for a, b in zip(rows, cols)}
-
+    rows, cols = linear_sum_assignment(-confusion)
+    matches = int(confusion[rows, cols].sum())
+    mapping = {int(p_ids[a]): int(t_ids[b]) for a, b in zip(rows, cols)}
     return 1.0 - matches / n, mapping
 
 
@@ -207,18 +186,20 @@ def power_criterion(p: float, s: float = 1.0):
     return criterion
 
 
-CRITERIA = {
-    "l1": l1_norm,
-    "frobenius": frobenius_norm,
-    "frobenius-sq": frobenius_norm_sq,
-    "nuclear": nuclear_norm,
-    "gram-l1": gram_l1,
-    "rank": rank_criterion,
-    "msr": msr_criterion(1.0),
+# name -> (criterion, trials kept nonnegative (SSQP domain), expected
+# (permutation invariance, diagonal dominance, additivity) flags)
+EBD_TABLE = {
+    "l1": (l1_norm, False, (True, True, True)),
+    "frobenius": (frobenius_norm, False, (True, True, False)),
+    "frobenius-sq": (frobenius_norm_sq, False, (True, True, True)),
+    "nuclear": (nuclear_norm, False, (True, True, True)),
+    "gram-l1": (gram_l1, True, (True, True, True)),
+    "rank": (rank_criterion, False, (True, False, True)),
+    "msr": (msr_criterion(1.0), False, (True, True, True)),
 }
 
-# Criteria whose trials must stay in the nonnegative orthant (SSQP domain).
-NONNEGATIVE_CRITERIA = {"gram-l1"}
+CRITERIA = {name: f for name, (f, _, _) in EBD_TABLE.items()}
+NONNEGATIVE_CRITERIA = {name for name, (_, nonneg, _) in EBD_TABLE.items() if nonneg}
 
 
 def _ebd_witness(trial: int, z: np.ndarray, **values) -> dict:
@@ -321,27 +302,32 @@ def grouping_effect_stats(z: Coefficients, x) -> GroupingEffectSummary:
     gram = mat.T @ mat
     col_norms = np.linalg.norm(mat, axis=0)
 
+    # One row i at a time over all (j > i, c): O(n^2) memory, not O(n^3).
     pairs = []
     max_ratio = 0.0
     min_slack = np.inf
     n_checked = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            r_raw = float(np.clip(gram[i, j], -1.0, 1.0))
-            sign = -1.0 if r_raw < 0 else 1.0
-            r_eff = abs(r_raw) if r_raw < 0 else r_raw
-            rhs = np.sqrt(max(2.0 * (1.0 - r_eff), 0.0)) / z.lam
-            row_diff = float(np.linalg.norm(z.z[i, :] - sign * z.z[j, :]))
-            pairs.append((i, j, r_raw, row_diff))
-            for c in range(n):
-                if z.diag_constrained and c in (i, j):
-                    continue
-                lhs = abs(z.z[i, c] - sign * z.z[j, c]) / col_norms[c]
-                slack = rhs - lhs
-                min_slack = min(min_slack, slack)
-                if rhs > 0:
-                    max_ratio = max(max_ratio, lhs / rhs)
-                n_checked += 1
+    for i in range(n - 1):
+        j = np.arange(i + 1, n)
+        r = np.clip(gram[i, j], -1.0, 1.0)
+        sign = np.where(r < 0, -1.0, 1.0)
+        rhs = np.sqrt(np.maximum(2.0 * (1.0 - np.abs(r)), 0.0))[:, np.newaxis] / z.lam
+        diff = z.z[i] - sign[:, np.newaxis] * z.z[j]
+        # 1-D norms per row: norm(diff, axis=1) sums in another order.
+        row_diff = [float(np.linalg.norm(row)) for row in diff]
+        pairs.extend(zip([i] * j.size, j.tolist(), r.tolist(), row_diff))
+        lhs = np.abs(diff) / col_norms
+        checked = np.ones(lhs.shape, dtype=bool)
+        if z.diag_constrained:
+            checked[:, i] = False
+            checked[np.arange(j.size), j] = False
+        n_checked += int(checked.sum())
+        if checked.any():
+            min_slack = min(min_slack, float((rhs - lhs)[checked].min()))
+        positive = checked & (rhs > 0)
+        if positive.any():
+            ratio = (lhs / np.where(rhs > 0, rhs, 1.0))[positive]
+            max_ratio = max(max_ratio, float(ratio.max()))
 
     if not np.isfinite(min_slack):
         min_slack = 0.0

@@ -4,7 +4,8 @@ Each solver returns an n x n coefficient matrix Z expressing every data
 column as a combination of the others:
 
 * ``lsr_constrained``  min ||Z||_F  s.t.  X = XZ (optionally diag(Z) = 0),
-  solved per column by minimum-norm least squares.
+  closed form Z = -Q / diag(Q) with Q the projector onto null(X), or the
+  shape-interaction matrix V_r V_r^T without the diagonal constraint.
 * ``lsr1``             min ||X - XZ||_F^2 + lam*||Z||_F^2  s.t. diag(Z) = 0,
   closed form Z = -D / diag(D) with D = (X^T X + lam*I)^{-1}.
 * ``lsr2``             the unconstrained ridge form,
@@ -114,42 +115,58 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
+def _zero_diag_rescale(p: np.ndarray) -> np.ndarray:
+    """Z[:, i] = -P[:, i] / P[i, i] with a zero diagonal.
+
+    P = (X^T X + lam*I)^{-1} gives the diag-constrained ridge solution, and
+    P = the projector onto null(X) its lam -> 0 limit. A zero P[i, i] leaves
+    non-finite entries in column i for the caller to reject.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = -p / np.diag(p)[np.newaxis, :]
+    np.fill_diagonal(z, 0.0)
+    return z
+
+
 def lsr_constrained(
     x,
     zero_diag: bool = True,
     tol: float = FEASIBILITY_TOL,
     sv_tol: float = linalg.SV_CUTOFF,
 ) -> Coefficients:
-    """Minimum-Frobenius-norm solution of X = XZ, columnwise.
+    """Minimum-Frobenius-norm solution of X = XZ, in closed form.
 
-    Column i is the minimum-l2-norm z with Y_i z = x_i, where Y_i drops
-    column i when ``zero_diag``. Raises InfeasibleColumn when a column is
-    not in the span of its dictionary (relative residual above ``tol``),
-    which happens under insufficient sampling. ``sv_tol`` is the relative
-    singular-value cutoff of the pseudoinverse.
+    With ``zero_diag`` it is Z = -Q diag(Q)^{-1} with a zeroed diagonal,
+    where Q = N N^T projects onto null(X); without, the shape-interaction
+    matrix V_r V_r^T. N and V_r are the trailing and leading right singular
+    vectors of one SVD, split at the singular values above ``sv_tol`` times
+    the largest. N N^T is used rather than I - V_r V_r^T, whose cancellation
+    loses accuracy on near-singular data. Raises InfeasibleColumn for the
+    first nonzero column whose relative residual exceeds ``tol``, which
+    happens under insufficient sampling.
     """
     mat = data_array(x)
-    n = mat.shape[1]
-    z = np.zeros((n, n))
-    for i in range(n):
+    _, s, vt = np.linalg.svd(mat, full_matrices=True)
+    rank = int(np.count_nonzero(s > sv_tol * s[0])) if s[0] > 0 else 0
+    if zero_diag:
+        null = vt[rank:]
+        z = _zero_diag_rescale(null.T @ null)
+    else:
+        z = vt[:rank].T @ vt[:rank]
+    norms = np.linalg.norm(mat, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        residuals = np.linalg.norm(mat @ z - mat, axis=0) / norms
+    bad = np.nonzero((norms > 0) & ~(residuals <= tol))[0]
+    if bad.size:
+        # Report the residual of the column's own minimum-norm fit.
+        i = int(bad[0])
         xi = mat[:, i]
-        xi_norm = float(np.linalg.norm(xi))
-        if zero_diag:
-            if n == 1:
-                if xi_norm > 0:
-                    raise InfeasibleColumn(0, 1.0)
-                continue
-            keep = np.arange(n) != i
-            dictionary = mat[:, keep]
-        else:
-            keep = np.ones(n, dtype=bool)
-            dictionary = mat
-        zi = linalg.pseudo_inverse(dictionary, tol=sv_tol) @ xi
-        if xi_norm > 0:
-            residual = float(np.linalg.norm(dictionary @ zi - xi)) / xi_norm
-            if residual > tol:
-                raise InfeasibleColumn(i, residual)
-        z[keep, i] = zi
+        dictionary = mat[:, np.arange(mat.shape[1]) != i] if zero_diag else mat
+        residual = 1.0  # a lone column has an empty dictionary
+        if dictionary.shape[1]:
+            fit = dictionary @ (linalg.pseudo_inverse(dictionary, tol=sv_tol) @ xi)
+            residual = float(np.linalg.norm(fit - xi)) / float(np.linalg.norm(xi))
+        raise InfeasibleColumn(i, residual)
     return Coefficients(z, 0.0, CONSTRAINED, zero_diag)
 
 
@@ -167,9 +184,7 @@ def lsr1(x, lam: float) -> Coefficients:
         return Coefficients(np.zeros((1, 1)), lam, LSR1, True)
     gram = mat.T @ mat
     d = linalg.solve_spd(gram + lam * np.eye(n), np.eye(n))
-    z = -d / np.diag(d)[np.newaxis, :]
-    np.fill_diagonal(z, 0.0)
-    return Coefficients(z, lam, LSR1, True)
+    return Coefficients(_zero_diag_rescale(d), lam, LSR1, True)
 
 
 def lsr2(x, lam: float) -> Coefficients:

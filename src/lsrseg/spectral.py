@@ -185,7 +185,6 @@ def normalized_cuts(w, k: int, seed: int = 0, restarts: int = 20) -> Labeling:
     isolated = np.nonzero(degrees <= 0)[0]
     inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(np.where(degrees > 0, degrees, 1.0)), 0.0)
     laplacian = np.eye(n) - inv_sqrt[:, np.newaxis] * mat * inv_sqrt[np.newaxis, :]
-    laplacian = (laplacian + laplacian.T) / 2.0
 
     eigen = linalg.sym_eigen(laplacian)
     eigen_tie = k < n and abs(eigen.values[k] - eigen.values[k - 1]) < EIGEN_TIE_TOL

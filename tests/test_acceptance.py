@@ -199,27 +199,20 @@ def test_criterion_6_end_to_end_recovery():
 
 
 def test_criterion_7_ebd_condition_suite():
-    """Permutation invariance and diagonal-block dominance hold on 200
-    seeded trials for every qualifying criterion; rank fails dominance and
-    leaves a counterexample."""
-    passing = [
-        ("l1", metrics.l1_norm, False),
-        ("frobenius-sq", metrics.frobenius_norm_sq, False),
-        ("nuclear", metrics.nuclear_norm, False),
-        ("l1+nuclear", metrics.msr_criterion(1.0), False),
-        ("gram-l1", metrics.gram_l1, True),
+    """Permutation invariance and diagonal-block dominance match every
+    criterion's expected flags on 200 seeded trials; rank fails dominance
+    and leaves a counterexample."""
+    results = {
+        name: metrics.check_ebd(f, trials=200, seed=31, nonnegative=nonneg, name=name)
+        for name, (f, nonneg, _) in metrics.EBD_TABLE.items()
+    }
+    failures = [
+        name
+        for name, res in results.items()
+        if (res.permutation_invariance_pass, res.diagonal_dominance_pass)
+        != metrics.EBD_TABLE[name][2][:2]
     ]
-    failures = []
-    for name, f, nonneg in passing:
-        res = metrics.check_ebd(f, trials=200, seed=31, nonnegative=nonneg, name=name)
-        if not (res.permutation_invariance_pass and res.diagonal_dominance_pass):
-            failures.append(name)
-    rank_res = metrics.check_ebd(metrics.rank_criterion, trials=200, seed=31, name="rank")
-    rank_ok = (
-        rank_res.permutation_invariance_pass
-        and not rank_res.diagonal_dominance_pass
-        and "dominance" in rank_res.counterexamples
-    )
+    rank_ok = "dominance" in results["rank"].counterexamples
     verdict(
         "criterion-7 ebd condition suite",
         not failures and rank_ok,
@@ -304,7 +297,6 @@ def test_criterion_9_segment_determinism(tmp_path):
         payload = json.loads(out.read_text())
         payload.pop("timestamp")
         payload["report"].pop("wall_times")
-        payload["report"].pop("affinity_seconds")
         payload["config"].pop("output")
         payloads.append(payload)
     verdict(

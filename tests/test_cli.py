@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -112,7 +113,6 @@ class TestSegment:
         for payload in (a, b):
             payload.pop("timestamp")
             payload["report"].pop("wall_times")
-            payload["report"].pop("affinity_seconds")
             payload["config"].pop("output")
         assert a == b
 
@@ -137,6 +137,22 @@ class TestSegment:
         assert run("segment", "--input", mpath, "--output", out,
                    "--solver", "lsr1", "--lambda", 1e-3) == cli.EXIT_OK
         assert json.loads(out.read_text())["report"]["error_rate"] == 0.0
+
+    def test_manifest_relative_path(self, dataset, tmp_path, monkeypatch):
+        # A relative data path is read from the manifest's directory,
+        # whatever the working directory.
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        shutil.copy(dataset, sub / "points.csv")
+        (sub / "m.json").write_text(
+            json.dumps({"path": "points.csv", "format": ingest.CSV_WITH_LABELS})
+        )
+        monkeypatch.chdir(tmp_path)
+        assert run("segment", "--input", "sub/m.json",
+                   "--solver", "lsr1", "--lambda", 1e-3) == cli.EXIT_OK
+        monkeypatch.chdir(sub)
+        assert run("segment", "--input", "m.json",
+                   "--solver", "lsr1", "--lambda", 1e-3) == cli.EXIT_OK
 
 
 class TestExitCodes:

@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +166,17 @@ class TestEbdConditions:
         res = metrics.check_ebd(metrics.rank_criterion, trials=20, seed=9)
         json.dumps(res.to_dict())
 
+    def test_survey_script_smoke(self, monkeypatch, capsys):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "ebd_survey.py"
+        spec = importlib.util.spec_from_file_location("ebd_survey", path)
+        survey = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(survey)
+        monkeypatch.setattr(sys, "argv", ["ebd_survey.py", "--trials", "5"])
+        survey.main()
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1 + len(metrics.EBD_TABLE) + 2
+        assert lines[1].split()[0] == "l1"
+
     def test_additivity_skippable(self):
         res = metrics.check_ebd(metrics.l1_norm, trials=10, seed=10, check_additivity=False)
         assert res.additivity_pass is None
@@ -224,6 +238,33 @@ class TestGroupingEffectStats:
         summary = metrics.grouping_effect_stats(solvers.lsr2(x, lam), x)
         assert summary.bound_holds(tol=1e-9)
 
+    @pytest.mark.parametrize(
+        "solve, n_checked, max_ratio, min_slack, row_diff_sum",
+        [
+            (solvers.lsr1, 102660, 0.018668909863203395, -5.412337245047638e-16,
+             849.594910667109),
+            (solvers.lsr2, 106200, 0.01570476499183347, -4.371503159461554e-16,
+             767.1278199707257),
+        ],
+    )
+    def test_seeded_case_pinned(self, solve, n_checked, max_ratio, min_slack, row_diff_sum):
+        # Expected values pinned from a plain triple loop over (i, j, c).
+        rng = np.random.default_rng(60)
+        x = rng.standard_normal((8, 60))
+        x[:, 1] = -x[:, 0]
+        x /= np.linalg.norm(x, axis=0)
+        summary = metrics.grouping_effect_stats(solve(x, 0.1), x)
+        assert len(summary.pairs) == 60 * 59 // 2
+        assert summary.pairs[0][:3] == (0, 1, -1.0)
+        assert [p[:2] for p in summary.pairs] == [
+            (i, j) for i in range(60) for j in range(i + 1, 60)
+        ]
+        assert sum(p[2] for p in summary.pairs) == pytest.approx(-5.779836609897763, rel=1e-12)
+        assert sum(p[3] for p in summary.pairs) == pytest.approx(row_diff_sum, rel=1e-9)
+        assert summary.n_checked == n_checked
+        assert summary.max_ratio == pytest.approx(max_ratio, rel=1e-9)
+        assert summary.min_slack == pytest.approx(min_slack, abs=1e-12)
+
     def test_requires_unit_columns(self):
         x = 2.0 * np.eye(3)
         coeffs = solvers.lsr2(x, 0.1)
@@ -242,7 +283,6 @@ class TestReportSerialization:
             aligned_permutation={0: 1, 1: 0},
             block_diag_violation=0.01,
             wall_times={"solve": 0.2},
-            affinity_seconds=0.25,
             n_samples=40,
             n_clusters=2,
             predicted_labels=[0] * 20 + [1] * 20,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,6 +77,74 @@ class TestLsrConstrained:
     def test_single_column(self):
         with pytest.raises(solvers.InfeasibleColumn):
             solvers.lsr_constrained(np.array([[1.0], [0.0]]))
+
+    @pytest.mark.parametrize(
+        "x, expected",
+        [
+            # d = n = 4: x_3 duplicates x_0, x_2 = x_0 + x_1.
+            (
+                [[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0], [0.0] * 4, [0.0] * 4],
+                [
+                    [0.0, -1 / 2, 1 / 2, 2 / 3],
+                    [-1 / 3, 0.0, 1.0, -1 / 3],
+                    [1 / 3, 1.0, 0.0, 1 / 3],
+                    [2 / 3, -1 / 2, 1 / 2, 0.0],
+                ],
+            ),
+            # x_1 = 2 x_0 and a zero column, which is represented by nothing.
+            (
+                [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]],
+                [[0.0, 2.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]],
+            ),
+        ],
+    )
+    def test_hand_computed_solutions(self, x, expected):
+        coeffs = solvers.lsr_constrained(np.array(x))
+        assert np.allclose(coeffs.z, expected, rtol=0.0, atol=1e-12)
+
+    def test_partly_representable_column_residual(self):
+        # Column 5 is a random vector outside span(a): its least-squares
+        # residual lies strictly between 0 and 1. Values pinned from the
+        # per-column pseudoinverse solver.
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((5, 3))
+        x = np.column_stack(
+            [a, a @ rng.standard_normal((3, 2)), rng.standard_normal(5), a[:, 0]]
+        )
+        with pytest.raises(solvers.InfeasibleColumn) as err:
+            solvers.lsr_constrained(x)
+        assert err.value.index == 5
+        assert err.value.residual == pytest.approx(0.10404052794623153, rel=0.0, abs=1e-12)
+
+    def test_matches_50_digit_reference_on_near_singular_union(self):
+        # X = B C with B of full column rank, so the exact column i is the
+        # minimum-norm z with C z = c_i and z_i = 0. This seed reaches
+        # |Z| ~ 42, where forming the projector as I - V_r V_r^T loses the
+        # 1e-10 bound.
+        mpmath = pytest.importorskip("mpmath")
+        dims = (3, 2, 2, 3, 2)
+        rng = np.random.default_rng(7251)
+        blocks = [rng.standard_normal((d, d + 3)) for d in dims]
+        spec = datagen.SubspaceSpec(
+            ambient_dim=sum(dims) + 2,
+            subspace_dims=dims,
+            samples_per_subspace=tuple(d + 3 for d in dims),
+            seed=7251,
+        )
+        data, _ = datagen.generate(spec, coefficients=blocks)
+        c_np = scipy.linalg.block_diag(*blocks)
+        n = c_np.shape[1]
+        reference = np.zeros((n, n))
+        with mpmath.workdps(50):
+            c = mpmath.matrix(c_np.tolist())
+            for i in range(n):
+                keep = [j for j in range(n) if j != i]
+                dictionary = mpmath.matrix([[c[r, j] for j in keep] for r in range(c.rows)])
+                zi = dictionary.T * mpmath.lu_solve(dictionary * dictionary.T, c[:, i])
+                reference[keep, i] = [float(v) for v in zi]
+        z = solvers.lsr_constrained(data).z
+        assert np.max(np.abs(reference)) >= 30.0
+        assert np.max(np.abs(z - reference)) <= 1e-10
 
 
 class TestLsr1:
