@@ -116,16 +116,16 @@ def _check_lambda(lam: float) -> float:
 
 
 def _zero_diag_rescale(p: np.ndarray) -> np.ndarray:
-    """Z[:, i] = -P[:, i] / P[i, i] with a zero diagonal.
+    """Z[:, i] = -P[:, i] / P[i, i] with a zero diagonal, in place of P.
 
     P = (X^T X + lam*I)^{-1} gives the diag-constrained ridge solution, and
     P = the projector onto null(X) its lam -> 0 limit. A zero P[i, i] leaves
     non-finite entries in column i for the caller to reject.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = -p / np.diag(p)[np.newaxis, :]
-    np.fill_diagonal(z, 0.0)
-    return z
+        p /= -np.diag(p)
+    np.fill_diagonal(p, 0.0)
+    return p
 
 
 def lsr_constrained(
@@ -141,32 +141,39 @@ def lsr_constrained(
     matrix V_r V_r^T. N and V_r are the trailing and leading right singular
     vectors of one SVD, split at the singular values above ``sv_tol`` times
     the largest. N N^T is used rather than I - V_r V_r^T, whose cancellation
-    loses accuracy on near-singular data. Raises InfeasibleColumn for the
-    first nonzero column whose relative residual exceeds ``tol``, which
-    happens under insufficient sampling.
+    loses accuracy on near-singular data.
+
+    A nonzero column the closed form does not fit to a relative residual of
+    ``tol`` (one only approximately in the span of the others) is refit on
+    its own as the minimum-norm least-squares solution over its dictionary,
+    which drops the column itself when ``zero_diag``. InfeasibleColumn is
+    raised for the first column whose refit residual still exceeds ``tol``,
+    which happens under insufficient sampling.
     """
     mat = data_array(x)
+    n = mat.shape[1]
     _, s, vt = np.linalg.svd(mat, full_matrices=True)
     rank = int(np.count_nonzero(s > sv_tol * s[0])) if s[0] > 0 else 0
+    basis = vt[rank:] if zero_diag else vt[:rank]
+    z = basis.T @ basis
+    del vt, basis  # release the n x n singular vectors before the gate
     if zero_diag:
-        null = vt[rank:]
-        z = _zero_diag_rescale(null.T @ null)
-    else:
-        z = vt[:rank].T @ vt[:rank]
+        z = _zero_diag_rescale(z)
     norms = np.linalg.norm(mat, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         residuals = np.linalg.norm(mat @ z - mat, axis=0) / norms
-    bad = np.nonzero((norms > 0) & ~(residuals <= tol))[0]
-    if bad.size:
-        # Report the residual of the column's own minimum-norm fit.
-        i = int(bad[0])
+    for i in np.nonzero((norms > 0) & ~(residuals <= tol))[0]:
         xi = mat[:, i]
-        dictionary = mat[:, np.arange(mat.shape[1]) != i] if zero_diag else mat
-        residual = 1.0  # a lone column has an empty dictionary
+        keep = np.arange(n) != i if zero_diag else np.ones(n, dtype=bool)
+        dictionary = mat[:, keep]
+        zi = np.zeros(0)  # a lone column has an empty dictionary
         if dictionary.shape[1]:
-            fit = dictionary @ (linalg.pseudo_inverse(dictionary, tol=sv_tol) @ xi)
-            residual = float(np.linalg.norm(fit - xi)) / float(np.linalg.norm(xi))
-        raise InfeasibleColumn(i, residual)
+            zi = linalg.pseudo_inverse(dictionary, tol=sv_tol) @ xi
+        residual = float(np.linalg.norm(dictionary @ zi - xi))
+        residual /= float(np.linalg.norm(xi))
+        if residual > tol:
+            raise InfeasibleColumn(int(i), residual)
+        z[keep, i] = zi
     return Coefficients(z, 0.0, CONSTRAINED, zero_diag)
 
 
@@ -180,8 +187,6 @@ def lsr1(x, lam: float) -> Coefficients:
     lam = _check_lambda(lam)
     mat = data_array(x)
     n = mat.shape[1]
-    if n == 1:
-        return Coefficients(np.zeros((1, 1)), lam, LSR1, True)
     gram = mat.T @ mat
     d = linalg.solve_spd(gram + lam * np.eye(n), np.eye(n))
     return Coefficients(_zero_diag_rescale(d), lam, LSR1, True)

@@ -102,6 +102,21 @@ class TestLsrConstrained:
         coeffs = solvers.lsr_constrained(np.array(x))
         assert np.allclose(coeffs.z, expected, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("eps, tol", [(1e-3, 1e-2), (1e-9, solvers.FEASIBILITY_TOL)])
+    def test_tolerance_accepts_least_squares_fit(self, eps, tol):
+        # Each column is off the other's span by a relative residual of
+        # eps / sqrt(1 + eps^2), so X has rank 2 and no null space. Within
+        # tol the least-squares fits are kept, as the per-column
+        # pseudoinverse solver did; below it column 0 is reported.
+        x = np.array([[1.0, 1.0], [0.0, eps]])
+        residual = eps / np.sqrt(1.0 + eps**2)
+        z = solvers.lsr_constrained(x, tol=tol).z
+        assert np.allclose(z, [[0.0, 1.0], [1.0 / (1.0 + eps**2), 0.0]], rtol=0.0, atol=1e-15)
+        with pytest.raises(solvers.InfeasibleColumn) as err:
+            solvers.lsr_constrained(x, tol=residual / 2)
+        assert err.value.index == 0
+        assert err.value.residual == pytest.approx(residual, rel=1e-6)
+
     def test_partly_representable_column_residual(self):
         # Column 5 is a random vector outside span(a): its least-squares
         # residual lies strictly between 0 and 1. Values pinned from the
