@@ -4,10 +4,16 @@ Subcommands map to the moving parts: ``synth`` generates data, ``solve``
 emits a coefficient matrix, ``segment`` runs the full pipeline, ``check``
 machine-verifies the structural claims, ``bench`` times the solvers.
 
+Every option is one ``RunConfig`` field: its flag (``--pca-dim``), its
+environment variable (``LSRSEG_PCA_DIM``), its --config key, its parser
+(from the field's annotation) and the subcommands that take the flag all
+derive from that field; ``lam`` is spelled ``--lambda``/``LSRSEG_LAMBDA``.
 Every run writes its fully resolved configuration (defaults, presets and
 seed included) next to the results; rerunning from that file reproduces
 the outputs except for timings. Option resolution order is: explicit flag,
 --config file, LSRSEG_* environment variable, preset, builtin default.
+``check`` runs the claim suites of ``metrics`` at their fixed tolerances,
+the same functions the acceptance tests call.
 Exit codes: 0 ok, 1 I/O, 2 configuration, 3 numeric failure, 4 check failed.
 """
 
@@ -19,7 +25,9 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass, asdict
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -50,45 +58,50 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
+def _option(default, *commands: str, choices: tuple | None = None):
+    """A RunConfig field that is also an option: a flag of ``commands``
+    (of every subcommand when none are named), an LSRSEG_* environment
+    variable and a --config key, all read with the cast of its annotation."""
+    return field(default=default, metadata={"commands": commands, "choices": choices})
+
+
 @dataclass
 class RunConfig:
     """Fully resolved options for one run; serialized next to every output."""
 
     command: str
-    input: str | None = None
-    output: str | None = None
-    solver: str = "lsr1"
-    lam: float = 1e-2
-    k: int | None = None
-    pca_dim: int | None = None
-    seed: int = 0
-    restarts: int = 20
-    normalize_columns: bool = False
-    preset: str | None = None
-    # synth-only
-    ambient_dim: int | None = None
-    dims: tuple[int, ...] | None = None
-    samples: tuple[int, ...] | None = None
-    mode: str = datagen.INDEPENDENT
-    noise_sigma: float = 0.0
-    correlation: float | None = None
-    spec_file: str | None = None
-    # check / bench
-    trials: int = 200
-    ebd_criterion: str | None = None
-    sizes: tuple[int, ...] = (100, 200, 400)
-    reps: int = 5
-    # tolerance overrides
-    tol_feasibility: float = 1e-8
-    tol_sv: float = 1e-10
-    tol_woodbury: float = 1e-8
-    tol_grouping: float = 1e-9
-    tol_block_diag: float = 1e-8
-    tol_block_diag_orth: float = 1e-10
+    input: str | None = _option(None)
+    output: str | None = _option(None)
+    solver: str = _option("lsr1", choices=SOLVER_NAMES)
+    lam: float = _option(1e-2)
+    k: int | None = _option(None)
+    pca_dim: int | None = _option(None)
+    seed: int = _option(0)
+    restarts: int = _option(20)
+    normalize_columns: bool = _option(False)
+    preset: str | None = _option(None, choices=tuple(sorted(PRESETS)))
+    ambient_dim: int | None = _option(None, "synth", "bench")
+    dims: tuple[int, ...] | None = _option(None, "synth")
+    samples: tuple[int, ...] | None = _option(None, "synth")
+    mode: str = _option(
+        datagen.INDEPENDENT, "synth", choices=(datagen.INDEPENDENT, datagen.ORTHOGONAL)
+    )
+    noise_sigma: float = _option(0.0, "synth")
+    correlation: float | None = _option(None, "synth")
+    spec_file: str | None = _option(None, "synth")
+    trials: int = _option(200, "check")
+    ebd_criterion: str | None = _option(None, "check", choices=tuple(metrics.EBD_TABLE))
+    sizes: tuple[int, ...] = _option((100, 200, 400), "bench")
+    reps: int = _option(5, "bench")
+    tol_feasibility: float = _option(solvers.FEASIBILITY_TOL)
+    tol_sv: float = _option(linalg.SV_CUTOFF)
 
     def __post_init__(self):
-        if self.solver not in SOLVER_NAMES:
-            raise ConfigError(f"solver must be one of {SOLVER_NAMES}, got {self.solver!r}")
+        for f in fields(self):
+            choices = f.metadata.get("choices")
+            value = getattr(self, f.name)
+            if choices and value is not None and value not in choices:
+                raise ConfigError(f"{f.name} must be one of {choices}, got {value!r}")
         if self.solver != solvers.CONSTRAINED and not self.lam > 0:
             raise ConfigError(f"lambda must be > 0 for {self.solver}, got {self.lam}")
         if self.seed < 0:
@@ -97,96 +110,91 @@ class RunConfig:
             raise ConfigError("restarts must be >= 1")
         if self.k is not None and self.k < 1:
             raise ConfigError("k must be >= 1")
-        if self.preset is not None and self.preset not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {self.preset!r}; available: {sorted(PRESETS)}"
-            )
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_int_list(value) -> tuple[int, ...]:
+    parts = value if isinstance(value, list) else value.split(",")
     try:
-        return tuple(int(part) for part in str(text).split(",") if part.strip())
+        return tuple(int(str(part)) for part in parts if str(part).strip())
     except ValueError:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}")
+        raise ConfigError(f"expected a comma-separated integer list, got {value!r}")
 
 
-def _parse_bool(text: str) -> bool:
-    return str(text).strip().lower() in ("1", "true", "yes", "on")
+def _parse_bool(text) -> bool:
+    word = str(text).strip().lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError(f"expected true/false, yes/no, on/off or 1/0, got {text!r}")
 
 
-# dest -> cast used when reading LSRSEG_<NAME> environment overrides
-_ENV_CASTS = {
-    "input": str,
-    "output": str,
-    "solver": str,
-    "lam": float,
-    "k": int,
-    "pca_dim": int,
-    "seed": int,
-    "restarts": int,
-    "normalize_columns": _parse_bool,
-    "preset": str,
-    "trials": int,
-    "ebd_criterion": str,
-    "reps": int,
-    "sizes": _parse_int_list,
-    "ambient_dim": int,
-    "dims": _parse_int_list,
-    "samples": _parse_int_list,
-    "mode": str,
-    "noise_sigma": float,
-    "correlation": float,
-    "spec_file": str,
-    "tol_feasibility": float,
-    "tol_sv": float,
-    "tol_woodbury": float,
-    "tol_grouping": float,
-    "tol_block_diag": float,
-    "tol_block_diag_orth": float,
+def _annotation_cast(hint):
+    """The parser of one annotated RunConfig type, ``X | None`` read as X."""
+    if isinstance(hint, types.UnionType):
+        (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
+    if typing.get_origin(hint) is tuple:
+        return _parse_int_list
+    return _parse_bool if hint is bool else hint
+
+
+# option name -> cast; every RunConfig field but `command` is an option
+_CASTS = {
+    name: _annotation_cast(hint)
+    for name, hint in typing.get_type_hints(RunConfig).items()
+    if name != "command"
 }
 
-# env var names follow the CLI flag spelling, e.g. --lambda -> LSRSEG_LAMBDA
-_ENV_NAMES = {"lam": "LAMBDA"}
+# Flags and env names spell the field name, except --lambda / LSRSEG_LAMBDA.
+_RENAMED = {"lam": "lambda"}
 
 
-def _env_value(dest: str):
-    return os.environ.get(ENV_PREFIX + _ENV_NAMES.get(dest, dest.upper()))
+def _flag(name: str) -> str:
+    return "--" + _RENAMED.get(name, name).replace("_", "-")
+
+
+def _env_value(name: str):
+    return os.environ.get(ENV_PREFIX + _RENAMED.get(name, name).upper())
+
+
+def _cast(name: str, raw):
+    """Parse an env or --config value as its flag's text would be parsed;
+    a JSON list is one integer list."""
+    try:
+        return _CASTS[name](raw if isinstance(raw, list) else str(raw))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name} value {raw!r}: {exc}") from None
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    defaults = RunConfig(command=args.command)
     stored: dict = {}
     if getattr(args, "config", None):
         loaded = json.loads(Path(args.config).read_text())
-        stored = loaded.get("config", loaded)
-    preset_name = getattr(args, "preset", None)
-    if preset_name is None:
-        preset_name = stored.get("preset") or os.environ.get(ENV_PREFIX + "PRESET")
-    preset_values = PRESETS.get(preset_name, {}) if preset_name else {}
-    if preset_name and preset_name not in PRESETS:
-        raise ConfigError(f"unknown preset {preset_name!r}; available: {sorted(PRESETS)}")
+        stored = loaded.get("config", loaded) if isinstance(loaded, dict) else None
+        if not isinstance(stored, dict):
+            raise ConfigError(f"{args.config} holds no configuration object")
 
-    resolved = {"command": args.command, "preset": preset_name}
-    for dest, cast in _ENV_CASTS.items():
-        if dest == "preset":
-            continue
-        value = getattr(args, dest, None)
-        if value is None and dest in stored and stored[dest] is not None:
-            value = stored[dest]
-            if isinstance(value, list):
-                value = tuple(value)
+    def given(name: str):
+        """The flag, else --config, else environment value of an option."""
+        value = getattr(args, name, None)
+        if value is not None:
+            return value
+        raw = stored.get(name)
+        if raw is None:
+            raw = _env_value(name)
+        return None if raw is None else _cast(name, raw)
+
+    preset_values = PRESETS.get(given("preset"), {})
+    resolved = {"command": args.command}
+    for name in _CASTS:
+        value = given(name)
         if value is None:
-            env = _env_value(dest)
-            if env is not None:
-                value = cast(env)
-        if value is None and dest in preset_values:
-            value = preset_values[dest]
-        if value is None:
-            value = getattr(defaults, dest, None)
-        resolved[dest] = value
+            value = preset_values.get(name)
+        if value is not None:
+            resolved[name] = value
     return RunConfig(**resolved)
 
 
@@ -231,6 +239,7 @@ def _load_input(cfg: RunConfig) -> tuple[datagen.DataMatrix, ingest.DatasetManif
 # ---------------------------------------------------------------------------
 
 def cmd_synth(cfg: RunConfig) -> int:
+    """generate a synthetic union-of-subspaces dataset"""
     if cfg.output is None:
         raise ConfigError("--output is required for synth")
     if cfg.spec_file:
@@ -268,6 +277,7 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
+    """emit the coefficient matrix without clustering"""
     if cfg.output is None:
         raise ConfigError("--output is required for solve")
     data, manifest = _load_input(cfg)
@@ -347,6 +357,7 @@ def run_segmentation(cfg: RunConfig) -> metrics.SegmentationReport:
 
 
 def cmd_segment(cfg: RunConfig) -> int:
+    """full pipeline: solve, affinity, cluster, score"""
     report = run_segmentation(cfg)
     payload = _payload(cfg, report=report.to_dict())
     if cfg.output:
@@ -363,142 +374,12 @@ def cmd_segment(cfg: RunConfig) -> int:
 # check: machine verification of the structural claims
 # ---------------------------------------------------------------------------
 
-def _suite_ebd(trials: int, seed: int) -> dict:
-    results, failures = [], []
-    for name, (f, nonneg, expected) in metrics.EBD_TABLE.items():
-        res = metrics.check_ebd(f, trials=trials, seed=seed, nonnegative=nonneg, name=name)
-        actual = (
-            res.permutation_invariance_pass,
-            res.diagonal_dominance_pass,
-            res.additivity_pass,
-        )
-        ok = actual == expected
-        if name == "rank" and ok and "dominance" not in res.counterexamples:
-            ok = False  # the expected failure must carry a witness
-        results.append({"criterion": name, "expected": expected, "actual": actual, "ok": ok})
-        if not ok:
-            failures.append({"criterion": name, "result": res.to_dict()})
-    return {
-        "name": "ebd-conditions",
-        "passed": not failures,
-        "results": results,
-        "witness": failures[0] if failures else None,
-    }
-
-
-def _suite_woodbury(trials: int, seed: int, tol: float) -> dict:
-    rng = np.random.default_rng(seed)
-    worst, witness = 0.0, None
-    for trial in range(trials):
-        d = int(rng.integers(2, 31))
-        n = int(rng.integers(3, 81))
-        lam = float(10 ** rng.uniform(-4, 1))
-        x = rng.standard_normal((d, n))
-        gap = float(
-            np.max(np.abs(solvers.lsr1(x, lam).z - solvers.column_oracle_ridge(x, lam).z))
-        )
-        if gap > worst:
-            worst = gap
-            witness = {"trial": trial, "d": d, "n": n, "lam": lam, "gap": gap}
-    return {
-        "name": "woodbury-equivalence",
-        "passed": worst <= tol,
-        "max_gap": worst,
-        "tolerance": tol,
-        "witness": None if worst <= tol else witness,
-    }
-
-
-def _suite_grouping(trials: int, seed: int, tol: float) -> dict:
-    rng = np.random.default_rng(seed)
-    worst, witness = -np.inf, None
-    for trial in range(trials):
-        d = int(rng.integers(2, 16))
-        n = int(rng.integers(2, 21))
-        lam = float(rng.choice([0.01, 0.1, 1.0]))
-        x = rng.standard_normal((d, n))
-        x /= np.linalg.norm(x, axis=0)
-        y = rng.standard_normal(d)
-        report = solvers.grouping_bound_report(x, y, lam)
-        violation = report.max_slack_violation
-        if violation > worst:
-            worst = violation
-            witness = {"trial": trial, "d": d, "n": n, "lam": lam, "violation": violation}
-    return {
-        "name": "grouping-bound",
-        "passed": worst <= tol,
-        "max_violation": worst,
-        "tolerance": tol,
-        "witness": None if worst <= tol else witness,
-    }
-
-
-def _suite_block_diag(seed: int, tol_indep: float, tol_orth: float, specs: int = 10) -> dict:
-    rng = np.random.default_rng(seed)
-    worst_indep, worst_orth, witness = 0.0, 0.0, None
-    for trial in range(specs):
-        k = int(rng.choice([2, 3, 4]))
-        dims = tuple(int(rng.integers(1, 4)) for _ in range(k))
-        spec = datagen.SubspaceSpec(
-            ambient_dim=sum(dims) + 2,
-            subspace_dims=dims,
-            samples_per_subspace=tuple(d + 3 for d in dims),
-            mode=datagen.INDEPENDENT,
-            seed=int(rng.integers(0, 2**31)),
-        )
-        data, _ = datagen.generate(spec)
-        violation = metrics.block_diag_violation(
-            solvers.lsr_constrained(data), data.labels
-        )
-        if violation > worst_indep:
-            worst_indep = violation
-            witness = {"case": "independent", "trial": trial, "violation": violation}
-        # Insufficient sampling (n_i < d_i) on alternating trials; dims >= 3
-        # there so every block keeps >= 2 samples and the relative violation
-        # ratio has genuine within-block mass in its denominator.
-        if trial % 2 == 0:
-            odims = tuple(int(rng.integers(3, 5)) for _ in range(k))
-            osamples = tuple(d - 1 for d in odims)
-        else:
-            odims = dims
-            osamples = tuple(d + 2 for d in odims)
-        ospec = datagen.SubspaceSpec(
-            ambient_dim=sum(odims) + 2,
-            subspace_dims=odims,
-            samples_per_subspace=osamples,
-            mode=datagen.ORTHOGONAL,
-            seed=int(rng.integers(0, 2**31)),
-        )
-        odata, _ = datagen.generate(ospec)
-        for solve in (solvers.lsr1, solvers.lsr2):
-            violation = metrics.block_diag_violation(solve(odata, 0.1), odata.labels)
-            if violation > worst_orth:
-                worst_orth = violation
-                witness = {"case": "orthogonal", "trial": trial, "violation": violation}
-    passed = worst_indep <= tol_indep and worst_orth <= tol_orth
-    return {
-        "name": "block-diagonality",
-        "passed": passed,
-        "max_independent_violation": worst_indep,
-        "max_orthogonal_violation": worst_orth,
-        "tolerances": {"independent": tol_indep, "orthogonal": tol_orth},
-        "witness": None if passed else witness,
-    }
-
-
 def cmd_check(cfg: RunConfig) -> int:
+    """run the structural verification suites"""
     if cfg.ebd_criterion:
-        if cfg.ebd_criterion not in metrics.CRITERIA:
-            raise ConfigError(
-                f"unknown criterion {cfg.ebd_criterion!r}; available: "
-                f"{sorted(metrics.CRITERIA)}"
-            )
+        f, nonneg, _ = metrics.EBD_TABLE[cfg.ebd_criterion]
         res = metrics.check_ebd(
-            metrics.CRITERIA[cfg.ebd_criterion],
-            trials=cfg.trials,
-            seed=cfg.seed,
-            nonnegative=cfg.ebd_criterion in metrics.NONNEGATIVE_CRITERIA,
-            name=cfg.ebd_criterion,
+            f, trials=cfg.trials, seed=cfg.seed, nonnegative=nonneg, name=cfg.ebd_criterion
         )
         payload = _payload(cfg, result=res.to_dict())
         if cfg.output:
@@ -513,10 +394,10 @@ def cmd_check(cfg: RunConfig) -> int:
         return EXIT_OK if ok else EXIT_CHECK
 
     suites = [
-        _suite_ebd(cfg.trials, cfg.seed),
-        _suite_woodbury(max(10, cfg.trials // 4), cfg.seed, cfg.tol_woodbury),
-        _suite_grouping(max(10, cfg.trials // 2), cfg.seed, cfg.tol_grouping),
-        _suite_block_diag(cfg.seed, cfg.tol_block_diag, cfg.tol_block_diag_orth),
+        metrics.ebd_conditions_suite(cfg.trials, cfg.seed),
+        metrics.oracle_equivalence_suite(max(10, cfg.trials // 4), cfg.seed, n_max=80),
+        metrics.grouping_bound_suite(max(10, cfg.trials // 2), cfg.seed),
+        metrics.block_diagonality_suite(10, cfg.seed),
     ]
     for suite in suites:
         print(f"check {suite['name']}: {'pass' if suite['passed'] else 'FAIL'}")
@@ -531,6 +412,7 @@ def cmd_check(cfg: RunConfig) -> int:
 
 
 def cmd_bench(cfg: RunConfig) -> int:
+    """time the solvers over a size grid"""
     timed = {
         "lsr1": lambda x: solvers.lsr1(x, cfg.lam),
         "lsr2": lambda x: solvers.lsr2(x, cfg.lam),
@@ -567,65 +449,6 @@ def cmd_bench(cfg: RunConfig) -> int:
 # Parser / entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lsrseg",
-        description="Subspace segmentation via least squares regression.",
-    )
-    parser.add_argument("--version", action="version", version=f"lsrseg {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON output of a previous run to rerun from")
-        p.add_argument("--input")
-        p.add_argument("--output")
-        p.add_argument("--solver", choices=SOLVER_NAMES)
-        p.add_argument("--lambda", dest="lam", type=float)
-        p.add_argument("--k", type=int)
-        p.add_argument("--pca-dim", dest="pca_dim", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--restarts", type=int)
-        p.add_argument("--preset", choices=sorted(PRESETS))
-        p.add_argument("--normalize-columns", dest="normalize_columns",
-                       action="store_true", default=None)
-        p.add_argument("--tol-feasibility", dest="tol_feasibility", type=float)
-        p.add_argument("--tol-sv", dest="tol_sv", type=float)
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic union-of-subspaces dataset")
-    common(p_synth)
-    p_synth.add_argument("--spec-file", dest="spec_file")
-    p_synth.add_argument("--ambient-dim", dest="ambient_dim", type=int)
-    p_synth.add_argument("--dims", type=_parse_int_list)
-    p_synth.add_argument("--samples", type=_parse_int_list)
-    p_synth.add_argument("--mode", choices=(datagen.INDEPENDENT, datagen.ORTHOGONAL))
-    p_synth.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    p_synth.add_argument("--correlation", type=float)
-
-    p_solve = sub.add_parser("solve", help="emit the coefficient matrix without clustering")
-    common(p_solve)
-
-    p_segment = sub.add_parser("segment", help="full pipeline: solve, affinity, cluster, score")
-    common(p_segment)
-
-    p_check = sub.add_parser("check", help="run the structural verification suites")
-    common(p_check)
-    p_check.add_argument("--trials", type=int)
-    p_check.add_argument("--ebd-criterion", dest="ebd_criterion",
-                         choices=sorted(metrics.CRITERIA))
-    p_check.add_argument("--tol-woodbury", dest="tol_woodbury", type=float)
-    p_check.add_argument("--tol-grouping", dest="tol_grouping", type=float)
-    p_check.add_argument("--tol-block-diag", dest="tol_block_diag", type=float)
-    p_check.add_argument("--tol-block-diag-orth", dest="tol_block_diag_orth", type=float)
-
-    p_bench = sub.add_parser("bench", help="time the solvers over a size grid")
-    common(p_bench)
-    p_bench.add_argument("--sizes", type=_parse_int_list)
-    p_bench.add_argument("--ambient-dim", dest="ambient_dim", type=int)
-    p_bench.add_argument("--reps", type=int)
-
-    return parser
-
-
 DISPATCH = {
     "synth": cmd_synth,
     "solve": cmd_solve,
@@ -633,6 +456,28 @@ DISPATCH = {
     "check": cmd_check,
     "bench": cmd_bench,
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="lsrseg",
+        description="Subspace segmentation via least squares regression.",
+    )
+    parser.add_argument("--version", action="version", version=f"lsrseg {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, run in DISPATCH.items():
+        p = sub.add_parser(command, help=run.__doc__)
+        p.add_argument("--config", help="JSON output of a previous run to rerun from")
+        for f in fields(RunConfig):
+            if f.name not in _CASTS or command not in (f.metadata["commands"] or DISPATCH):
+                continue
+            if _CASTS[f.name] is _parse_bool:
+                p.add_argument(_flag(f.name), dest=f.name, action="store_true", default=None)
+            else:
+                p.add_argument(_flag(f.name), dest=f.name, type=_CASTS[f.name],
+                               choices=f.metadata["choices"])
+    return parser
+
 
 _NUMERIC_ERRORS = (
     linalg.DimensionMismatch,

@@ -1,5 +1,6 @@
 """Quantitative verification: segmentation error, block-diagonality,
-enforced-block-diagonal (EBD) condition checks, and grouping-effect stats.
+enforced-block-diagonal (EBD) condition checks, grouping-effect stats, and
+the four claim suites that ``lsrseg check`` and the acceptance gate run.
 
 These are numeric witnesses, not proofs: every failed flag carries a
 recorded counterexample that can be serialized and inspected.
@@ -12,8 +13,16 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from . import linalg
+from . import datagen, linalg, solvers
 from .solvers import Coefficients, check_unit_columns, data_array
+
+# Pass tolerances of the claim suites, fixed so that no caller can loosen
+# a verification gate.
+ORACLE_TOL = 1e-8  # max |lsr1 - column_oracle_ridge|
+GROUPING_SLACK_TOL = 1e-9  # max slack violation of the grouping bound
+DUPLICATE_GAP_TOL = 1e-10  # coefficient gap of a duplicated column pair
+BLOCK_DIAG_TOL = 1e-8  # constrained solver, independent subspaces
+BLOCK_DIAG_ORTH_TOL = 1e-10  # lsr1 and lsr2, orthogonal subspaces
 
 
 class LengthMismatch(ValueError):
@@ -73,7 +82,7 @@ class GroupingEffectSummary:
     min_slack: float
     n_checked: int
 
-    def bound_holds(self, tol: float = 1e-9) -> bool:
+    def bound_holds(self, tol: float = GROUPING_SLACK_TOL) -> bool:
         return self.min_slack >= -tol
 
 
@@ -197,9 +206,6 @@ EBD_TABLE = {
     "rank": (rank_criterion, False, (True, False, True)),
     "msr": (msr_criterion(1.0), False, (True, True, True)),
 }
-
-CRITERIA = {name: f for name, (f, _, _) in EBD_TABLE.items()}
-NONNEGATIVE_CRITERIA = {name for name, (_, nonneg, _) in EBD_TABLE.items() if nonneg}
 
 
 def _ebd_witness(trial: int, z: np.ndarray, **values) -> dict:
@@ -338,3 +344,151 @@ def grouping_effect_stats(z: Coefficients, x) -> GroupingEffectSummary:
         min_slack=float(min_slack),
         n_checked=n_checked,
     )
+
+
+# ---------------------------------------------------------------------------
+# Claim suites: each returns a JSON-ready dict with "name", "passed" and,
+# when it fails, a "witness" (the first failing trial).
+# ---------------------------------------------------------------------------
+
+def ebd_conditions_suite(trials: int, seed: int) -> dict:
+    """Every EBD_TABLE criterion shows its expected condition flags; rank's
+    expected dominance failure must carry a counterexample."""
+    results, failures = [], []
+    for name, (f, nonneg, expected) in EBD_TABLE.items():
+        res = check_ebd(f, trials=trials, seed=seed, nonnegative=nonneg, name=name)
+        actual = (
+            res.permutation_invariance_pass,
+            res.diagonal_dominance_pass,
+            res.additivity_pass,
+        )
+        ok = actual == expected
+        if name == "rank" and ok and "dominance" not in res.counterexamples:
+            ok = False  # the expected failure must carry a witness
+        results.append({"criterion": name, "expected": expected, "actual": actual, "ok": ok})
+        if not ok:
+            failures.append({"criterion": name, "result": res.to_dict()})
+    return {
+        "name": "ebd-conditions",
+        "passed": not failures,
+        "results": results,
+        "witness": failures[0] if failures else None,
+    }
+
+
+def oracle_equivalence_suite(trials: int, seed: int, n_max: int = 80) -> dict:
+    """lsr1 equals the per-column reference on Gaussian d x n data,
+    d in [2, 30], n in [3, n_max], lam log-uniform in [1e-4, 10]."""
+    rng = np.random.default_rng(seed)
+    worst, witness = 0.0, None
+    for trial in range(trials):
+        d = int(rng.integers(2, 31))
+        n = int(rng.integers(3, n_max + 1))
+        lam = float(10 ** rng.uniform(-4, 1))
+        x = rng.standard_normal((d, n))
+        gap = float(
+            np.max(np.abs(solvers.lsr1(x, lam).z - solvers.column_oracle_ridge(x, lam).z))
+        )
+        worst = max(worst, gap)
+        if witness is None and gap > ORACLE_TOL:
+            witness = {"trial": trial, "d": d, "n": n, "lam": lam, "gap": gap}
+    return {
+        "name": "woodbury-equivalence",
+        "passed": witness is None,
+        "max_gap": worst,
+        "tolerance": ORACLE_TOL,
+        "witness": witness,
+    }
+
+
+def grouping_bound_suite(trials: int, seed: int) -> dict:
+    """The pairwise grouping bound holds on unit-column ridge queries
+    (d in [2, 15], n in [2, 20]), and on every third trial column 1
+    duplicates column 0 and must get the same coefficient."""
+    rng = np.random.default_rng(seed)
+    worst, worst_dup, witness = -np.inf, 0.0, None
+    for trial in range(trials):
+        d = int(rng.integers(2, 16))
+        n = int(rng.integers(2, 21))
+        lam = float(rng.choice([0.01, 0.1, 1.0]))
+        x = rng.standard_normal((d, n))
+        duplicated = trial % 3 == 0
+        if duplicated:
+            x[:, 1] = x[:, 0]
+        x /= np.linalg.norm(x, axis=0)
+        y = rng.standard_normal(d)
+        report = solvers.grouping_bound_report(x, y, lam)
+        violation = report.max_slack_violation
+        gap = float(abs(report.coefficients[0] - report.coefficients[1])) if duplicated else 0.0
+        worst, worst_dup = max(worst, violation), max(worst_dup, gap)
+        if witness is None and (violation > GROUPING_SLACK_TOL or gap > DUPLICATE_GAP_TOL):
+            witness = {"trial": trial, "d": d, "n": n, "lam": lam,
+                       "violation": violation, "duplicate_gap": gap}
+    return {
+        "name": "grouping-bound",
+        "passed": witness is None,
+        "max_violation": worst,
+        "max_duplicate_gap": worst_dup,
+        "tolerances": {"slack": GROUPING_SLACK_TOL, "duplicate_gap": DUPLICATE_GAP_TOL},
+        "witness": witness,
+    }
+
+
+def _block_diag_spec_pair(
+    rng: np.random.Generator, trial: int
+) -> tuple[datagen.SubspaceSpec, datagen.SubspaceSpec]:
+    """An independent spec (n_i = d_i + 3) and an orthogonal one over k in
+    {2, 3, 4, 5} subspaces, both noise-free in sum(dims) + 2 dimensions.
+    The orthogonal spec samples insufficiently (n_i = d_i - 1) on even
+    trials; its dims are >= 3 there so every block keeps >= 2 samples and
+    the violation ratio has genuine within-block mass in its denominator."""
+
+    def spec(dims, samples, mode):
+        return datagen.SubspaceSpec(
+            ambient_dim=sum(dims) + 2,
+            subspace_dims=dims,
+            samples_per_subspace=samples,
+            mode=mode,
+            seed=int(rng.integers(0, 2**31)),
+        )
+
+    k = int(rng.choice([2, 3, 4, 5]))
+    dims = tuple(int(rng.integers(1, 4)) for _ in range(k))
+    independent = spec(dims, tuple(d + 3 for d in dims), datagen.INDEPENDENT)
+    if trial % 2 == 0:
+        odims = tuple(int(rng.integers(3, 5)) for _ in range(k))
+        osamples = tuple(d - 1 for d in odims)
+    else:
+        odims, osamples = dims, tuple(d + 2 for d in dims)
+    return independent, spec(odims, osamples, datagen.ORTHOGONAL)
+
+
+def block_diagonality_suite(trials: int, seed: int) -> dict:
+    """The constrained solution is block diagonal on independent subspaces,
+    and lsr1/lsr2 (lam = 0.1) are on orthogonal ones, including the
+    insufficiently sampled specs of even trials."""
+    rng = np.random.default_rng(seed)
+    worst_indep, worst_orth, insufficient, witness = 0.0, 0.0, 0, None
+    for trial in range(trials):
+        ispec, ospec = _block_diag_spec_pair(rng, trial)
+        data, _ = datagen.generate(ispec)
+        indep = block_diag_violation(solvers.lsr_constrained(data), data.labels)
+        odata, _ = datagen.generate(ospec)
+        orth = max(
+            block_diag_violation(solve(odata, 0.1), odata.labels)
+            for solve in (solvers.lsr1, solvers.lsr2)
+        )
+        insufficient += any(n < d for n, d in zip(ospec.samples_per_subspace, ospec.subspace_dims))
+        worst_indep, worst_orth = max(worst_indep, indep), max(worst_orth, orth)
+        if witness is None and (indep > BLOCK_DIAG_TOL or orth > BLOCK_DIAG_ORTH_TOL):
+            witness = {"trial": trial, "independent_violation": indep,
+                       "orthogonal_violation": orth}
+    return {
+        "name": "block-diagonality",
+        "passed": witness is None,
+        "max_independent_violation": worst_indep,
+        "max_orthogonal_violation": worst_orth,
+        "insufficient_specs": insufficient,
+        "tolerances": {"independent": BLOCK_DIAG_TOL, "orthogonal": BLOCK_DIAG_ORTH_TOL},
+        "witness": witness,
+    }

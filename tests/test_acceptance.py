@@ -13,6 +13,13 @@ import numpy as np
 import pytest
 
 from lsrseg import cli, datagen, ingest, metrics, solvers, spectral
+from lsrseg.metrics import (
+    BLOCK_DIAG_ORTH_TOL,
+    BLOCK_DIAG_TOL,
+    DUPLICATE_GAP_TOL,
+    GROUPING_SLACK_TOL,
+    ORACLE_TOL,
+)
 
 TWO_LINES_X = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 2.0]])
 TWO_LINES_LABELS = np.array([0, 0, 1, 1])
@@ -38,24 +45,15 @@ def verdict(name: str, ok: bool, detail: str = ""):
 
 def test_criterion_1_closed_form_equals_oracle():
     """lsr1 must match the per-column reference solver on 100 seeded
-    instances, max-abs difference at most 1e-8, in under 30 seconds."""
+    instances (n <= 100), max-abs difference at most 1e-8, in under 30
+    seconds."""
     started = time.perf_counter()
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for _ in range(100):
-        d = int(rng.integers(2, 31))
-        n = int(rng.integers(3, 101))
-        lam = float(10 ** rng.uniform(-4, 1))
-        x = rng.standard_normal((d, n))
-        gap = float(
-            np.max(np.abs(solvers.lsr1(x, lam).z - solvers.column_oracle_ridge(x, lam).z))
-        )
-        worst = max(worst, gap)
+    suite = metrics.oracle_equivalence_suite(trials=100, seed=2024, n_max=100)
     elapsed = time.perf_counter() - started
     verdict(
         "criterion-1 closed-form/oracle equivalence",
-        worst <= 1e-8 and elapsed < 30.0,
-        f"max gap {worst:.3e}, {elapsed:.1f}s",
+        suite["max_gap"] <= ORACLE_TOL and elapsed < 30.0,
+        f"max gap {suite['max_gap']:.3e}, {elapsed:.1f}s",
     )
 
 
@@ -79,28 +77,14 @@ def test_criterion_2_fixed_verification_case():
 
 
 def test_criterion_3_block_diagonality_independent():
-    """50 seeded independent-subspace datasets (k in {2,3,5}, d_i in
+    """50 seeded independent-subspace datasets (k in {2,3,4,5}, d_i in
     {1,2,3}, n_i = d_i + 3, noise-free): constrained solutions carry at
     most 1e-8 of their mass across blocks."""
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(50):
-        k = int(rng.choice([2, 3, 5]))
-        dims = tuple(int(rng.integers(1, 4)) for _ in range(k))
-        spec = datagen.SubspaceSpec(
-            ambient_dim=sum(dims) + 2,
-            subspace_dims=dims,
-            samples_per_subspace=tuple(d + 3 for d in dims),
-            mode=datagen.INDEPENDENT,
-            noise_sigma=0.0,
-            seed=int(rng.integers(0, 2**31)),
-        )
-        data, _ = datagen.generate(spec)
-        coeffs = solvers.lsr_constrained(data)
-        worst = max(worst, metrics.block_diag_violation(coeffs, data.labels))
+    suite = metrics.block_diagonality_suite(trials=50, seed=7)
+    worst = suite["max_independent_violation"]
     verdict(
         "criterion-3 block diagonality (independent)",
-        worst <= 1e-8,
+        worst <= BLOCK_DIAG_TOL,
         f"max violation {worst:.3e}",
     )
 
@@ -108,35 +92,12 @@ def test_criterion_3_block_diagonality_independent():
 def test_criterion_4_block_diagonality_orthogonal():
     """50 seeded orthogonal datasets, half with insufficient sampling
     (n_i < d_i): both ridge solvers stay block diagonal to 1e-10."""
-    rng = np.random.default_rng(11)
-    lam = 0.1
-    worst = 0.0
-    n_insufficient = 0
-    for trial in range(50):
-        k = int(rng.choice([2, 3]))
-        if trial % 2 == 0:
-            # insufficient sampling; dims >= 3 keep >= 2 samples per block
-            dims = tuple(int(rng.integers(3, 5)) for _ in range(k))
-            samples = tuple(d - 1 for d in dims)
-            n_insufficient += 1
-        else:
-            dims = tuple(int(rng.integers(1, 4)) for _ in range(k))
-            samples = tuple(d + 2 for d in dims)
-        spec = datagen.SubspaceSpec(
-            ambient_dim=sum(dims) + 2,
-            subspace_dims=dims,
-            samples_per_subspace=samples,
-            mode=datagen.ORTHOGONAL,
-            seed=int(rng.integers(0, 2**31)),
-        )
-        data, _ = datagen.generate(spec)
-        for solve in (solvers.lsr1, solvers.lsr2):
-            coeffs = solve(data, lam)
-            worst = max(worst, metrics.block_diag_violation(coeffs, data.labels))
+    suite = metrics.block_diagonality_suite(trials=50, seed=11)
+    worst = suite["max_orthogonal_violation"]
     verdict(
         "criterion-4 block diagonality (orthogonal)",
-        worst <= 1e-10 and n_insufficient == 25,
-        f"max violation {worst:.3e}, {n_insufficient} insufficient specs",
+        worst <= BLOCK_DIAG_ORTH_TOL and suite["insufficient_specs"] == 25,
+        f"max violation {worst:.3e}, {suite['insufficient_specs']} insufficient specs",
     )
 
 
@@ -144,27 +105,11 @@ def test_criterion_5_grouping_bound():
     """1000 seeded unit-column ridge instances: the pairwise coefficient
     bound holds with slack >= -1e-9, and duplicated columns receive equal
     coefficients to 1e-10."""
-    rng = np.random.default_rng(23)
-    worst_slack = 0.0
-    worst_dup = 0.0
-    for trial in range(1000):
-        d = int(rng.integers(3, 13))
-        n = int(rng.integers(3, 16))
-        lam = float(rng.choice([0.01, 0.1, 1.0]))
-        x = rng.standard_normal((d, n))
-        duplicated = trial % 3 == 0 and n >= 2
-        if duplicated:
-            x[:, 1] = x[:, 0]
-        x /= np.linalg.norm(x, axis=0)
-        y = rng.standard_normal(d)
-        report = solvers.grouping_bound_report(x, y, lam)
-        worst_slack = max(worst_slack, report.max_slack_violation)
-        if duplicated:
-            gap = abs(report.coefficients[0] - report.coefficients[1])
-            worst_dup = max(worst_dup, float(gap))
+    suite = metrics.grouping_bound_suite(trials=1000, seed=23)
+    worst_slack, worst_dup = suite["max_violation"], suite["max_duplicate_gap"]
     verdict(
         "criterion-5 grouping bound",
-        worst_slack <= 1e-9 and worst_dup <= 1e-10,
+        worst_slack <= GROUPING_SLACK_TOL and worst_dup <= DUPLICATE_GAP_TOL,
         f"max slack violation {worst_slack:.3e}, max duplicate gap {worst_dup:.3e}",
     )
 
@@ -199,25 +144,15 @@ def test_criterion_6_end_to_end_recovery():
 
 
 def test_criterion_7_ebd_condition_suite():
-    """Permutation invariance and diagonal-block dominance match every
-    criterion's expected flags on 200 seeded trials; rank fails dominance
-    and leaves a counterexample."""
-    results = {
-        name: metrics.check_ebd(f, trials=200, seed=31, nonnegative=nonneg, name=name)
-        for name, (f, nonneg, _) in metrics.EBD_TABLE.items()
-    }
-    failures = [
-        name
-        for name, res in results.items()
-        if (res.permutation_invariance_pass, res.diagonal_dominance_pass)
-        != metrics.EBD_TABLE[name][2][:2]
-    ]
-    rank_ok = "dominance" in results["rank"].counterexamples
+    """Permutation invariance, diagonal-block dominance and additivity
+    match every criterion's expected flags on 200 seeded trials; rank
+    fails dominance and leaves a counterexample."""
+    suite = metrics.ebd_conditions_suite(trials=200, seed=31)
+    failures = [row["criterion"] for row in suite["results"] if not row["ok"]]
     verdict(
         "criterion-7 ebd condition suite",
-        not failures and rank_ok,
-        f"unexpected failures {failures}, rank witness "
-        f"{'present' if rank_ok else 'missing'}",
+        suite["passed"],
+        f"unexpected flags or missing witness: {failures}",
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 
@@ -275,3 +276,115 @@ class TestEnvOverrides:
         cfg = cli._resolve_config(args)
         assert cfg.lam == 0.9
         assert cfg.pca_dim == 12
+
+
+COMMON_FLAGS = {
+    "-h", "--help", "--config", "--input", "--output", "--solver", "--lambda", "--k",
+    "--pca-dim", "--seed", "--restarts", "--preset", "--normalize-columns",
+    "--tol-feasibility", "--tol-sv",
+}
+SUBCOMMAND_FLAGS = {
+    "synth": COMMON_FLAGS | {"--spec-file", "--ambient-dim", "--dims", "--samples",
+                             "--mode", "--noise-sigma", "--correlation"},
+    "solve": COMMON_FLAGS,
+    "segment": COMMON_FLAGS,
+    "check": COMMON_FLAGS | {"--trials", "--ebd-criterion"},
+    "bench": COMMON_FLAGS | {"--sizes", "--ambient-dim", "--reps"},
+}
+
+# field -> (LSRSEG_* text, resolved value); the value's type is the field's
+ENV_SAMPLES = {
+    "input": ("in.csv", "in.csv"),
+    "output": ("out.json", "out.json"),
+    "solver": ("lsr2", "lsr2"),
+    "lam": ("0.25", 0.25),
+    "k": ("4", 4),
+    "pca_dim": ("6", 6),
+    "seed": ("9", 9),
+    "restarts": ("3", 3),
+    "normalize_columns": ("yes", True),
+    "preset": ("yaleb5-lsr2", "yaleb5-lsr2"),
+    "ambient_dim": ("7", 7),
+    "dims": ("2,3", (2, 3)),
+    "samples": ("4,5", (4, 5)),
+    "mode": ("orthogonal", "orthogonal"),
+    "noise_sigma": ("0.5", 0.5),
+    "correlation": ("0.9", 0.9),
+    "spec_file": ("spec.json", "spec.json"),
+    "trials": ("12", 12),
+    "ebd_criterion": ("nuclear", "nuclear"),
+    "sizes": ("10,20", (10, 20)),
+    "reps": ("2", 2),
+    "tol_feasibility": ("1e-6", 1e-6),
+    "tol_sv": ("1e-9", 1e-9),
+}
+
+
+def resolve(*argv):
+    return cli._resolve_config(cli.build_parser().parse_args([str(a) for a in argv]))
+
+
+class TestOptionLayer:
+    def test_subcommand_flag_sets(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        flags = {
+            name: {flag for action in parser._actions for flag in action.option_strings}
+            for name, parser in sub.choices.items()
+        }
+        assert flags == SUBCOMMAND_FLAGS
+
+    def test_every_option_has_an_env_sample(self):
+        names = [f.name for f in dataclasses.fields(cli.RunConfig) if f.name != "command"]
+        assert sorted(ENV_SAMPLES) == sorted(names)
+        assert len(names) + 1 == 24
+
+    @pytest.mark.parametrize("name", sorted(ENV_SAMPLES))
+    def test_env_reaches_config_with_field_type(self, name, monkeypatch):
+        text, expected = ENV_SAMPLES[name]
+        monkeypatch.setenv("LSRSEG_" + ("LAMBDA" if name == "lam" else name.upper()), text)
+        value = getattr(resolve("check"), name)
+        assert value == expected
+        assert type(value) is type(expected)
+
+    def test_config_file_values_are_cast(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"config": {
+            "lam": "0.1", "k": "3", "dims": [2, 2], "normalize_columns": "on",
+        }}))
+        cfg = resolve("synth", "--config", path)
+        assert (cfg.lam, cfg.k, cfg.dims, cfg.normalize_columns) == (0.1, 3, (2, 2), True)
+
+    @pytest.mark.parametrize("stored", [
+        {"lam": "zero"}, {"lam": [0.1]}, {"k": "2.5"}, {"k": 2.5}, {"seed": True},
+        {"dims": [2.5, 2]}, [],
+    ])
+    def test_bad_config_file_value_is_config_error(self, stored, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"config": stored}))
+        assert run("check", "--config", path, "--trials", 10) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("text", ["ture", "", "2"])
+    def test_bad_bool_env_is_config_error(self, text, monkeypatch):
+        monkeypatch.setenv("LSRSEG_NORMALIZE_COLUMNS", text)
+        assert run("check", "--trials", 10) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("name, command", [
+        ("solver", "segment"), ("mode", "synth"), ("ebd_criterion", "check"),
+    ])
+    def test_bad_choice_is_config_error(self, name, command, monkeypatch, tmp_path):
+        # Without the bad value these runs would exit 1 (segment: no such
+        # input) or 0 (synth, check).
+        args = {
+            "segment": ["--input", tmp_path / "absent.csv"],
+            "synth": ["--output", tmp_path / "d.csv", "--ambient-dim", 6,
+                      "--dims", "1,1", "--samples", "3,3"],
+            "check": ["--trials", 10],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            run(command, *args, "--" + name.replace("_", "-"), "bogus")
+        assert exc.value.code == cli.EXIT_CONFIG
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"config": {name: "bogus"}}))
+        assert run(command, *args, "--config", path) == cli.EXIT_CONFIG
+        monkeypatch.setenv("LSRSEG_" + name.upper(), "bogus")
+        assert run(command, *args) == cli.EXIT_CONFIG

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lsrseg import linalg
@@ -74,13 +74,22 @@ class TestSolveSpd:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
+    @example(seed=299, n=9)
+    @example(seed=132, n=9)
     def test_reconstruction_property(self, seed, n):
+        # A Cholesky solve is backward stable: its residual is bounded by
+        # c * n * eps * ||a|| * ||s||, not by a multiple of ||b||. The draw
+        # can make `a` nearly singular (condition 1.7e7 at seed 299, n = 9,
+        # residual 2.5e-9 against 1e-10 * ||b|| = 4.6e-10). The largest
+        # residual / (n * eps * ||a|| * ||s||) over 70,000 seeded draws was
+        # 2.06, at n = 1 (0.72 for n >= 2); c = 4 leaves a factor of two.
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((n, n))
         a = g.T @ g + 1e-6 * np.eye(n)
         b = rng.standard_normal((n, 2))
         s = linalg.solve_spd(a, b)
-        assert np.linalg.norm(a @ s - b) <= 1e-10 * max(np.linalg.norm(b), 1e-30)
+        bound = 4 * n * np.finfo(float).eps * np.linalg.norm(a) * np.linalg.norm(s)
+        assert np.linalg.norm(a @ s - b) <= bound
 
 
 class TestSymEigen:

@@ -20,6 +20,16 @@ MIXING_FEASIBLE_Z = np.array(
 )
 
 
+def run_script(name, monkeypatch, *argv):
+    """Run scripts/<name>.py's main() with the given command line."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", [path.name, *argv])
+    script.main()
+
+
 class TestSegmentationError:
     def test_identical(self):
         assert metrics.segmentation_error([0, 0, 1, 1], [0, 0, 1, 1]) == 0.0
@@ -167,12 +177,7 @@ class TestEbdConditions:
         json.dumps(res.to_dict())
 
     def test_survey_script_smoke(self, monkeypatch, capsys):
-        path = Path(__file__).resolve().parents[1] / "scripts" / "ebd_survey.py"
-        spec = importlib.util.spec_from_file_location("ebd_survey", path)
-        survey = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(survey)
-        monkeypatch.setattr(sys, "argv", ["ebd_survey.py", "--trials", "5"])
-        survey.main()
+        run_script("ebd_survey", monkeypatch, "--trials", "5")
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + len(metrics.EBD_TABLE) + 2
         assert lines[1].split()[0] == "l1"
@@ -181,6 +186,23 @@ class TestEbdConditions:
         res = metrics.check_ebd(metrics.l1_norm, trials=10, seed=10, check_additivity=False)
         assert res.additivity_pass is None
         assert res.passes()
+
+
+class TestExperimentScripts:
+    def test_recovery_sweep_smoke(self, monkeypatch, capsys):
+        run_script("recovery_sweep", monkeypatch,
+                   "--seeds", "1", "--sigmas", "0", "--lambdas", "1e-3")
+        lines = capsys.readouterr().out.strip().splitlines()
+        # per solver: title, header, one sigma row; noise-free data is exact
+        rows = [line.split() for line in lines if line.startswith("0.000")]
+        assert [line.split(":")[0] for line in lines if ":" in line] == ["lsr1", "lsr2"]
+        assert rows == [["0.000", "0.0000"], ["0.000", "0.0000"]]
+
+    def test_grouping_effect_demo_smoke(self, monkeypatch, capsys):
+        run_script("grouping_effect_demo", monkeypatch)
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1 + 4
+        assert all(line.split()[-1] == "True" for line in lines[1:])
 
 
 class TestGroupingEffectStats:
@@ -290,3 +312,45 @@ class TestReportSerialization:
         )
         payload = json.dumps(report.to_dict())
         assert json.loads(payload)["error_rate"] == 0.05
+
+
+class TestClaimSuites:
+    def test_oracle_suite_flags_a_perturbed_solver(self, monkeypatch):
+        exact = solvers.lsr1
+        monkeypatch.setattr(
+            solvers, "lsr1",
+            lambda x, lam: solvers.Coefficients(exact(x, lam).z + 1e-6, lam, "lsr1", False),
+        )
+        suite = metrics.oracle_equivalence_suite(trials=3, seed=0)
+        assert not suite["passed"]
+        assert suite["max_gap"] == pytest.approx(1e-6, rel=1e-3)
+        assert suite["witness"]["trial"] == 0
+
+    def test_grouping_suite_flags_unequal_duplicate_coefficients(self, monkeypatch):
+        exact = solvers.grouping_bound_report
+
+        def skewed(x, y, lam):
+            report = exact(x, y, lam)
+            report.coefficients[1] += 1e-9
+            return report
+
+        monkeypatch.setattr(solvers, "grouping_bound_report", skewed)
+        suite = metrics.grouping_bound_suite(trials=4, seed=0)
+        assert suite["max_violation"] <= metrics.GROUPING_SLACK_TOL
+        assert not suite["passed"]
+        assert suite["witness"]["trial"] == 0
+        assert suite["witness"]["duplicate_gap"] > metrics.DUPLICATE_GAP_TOL
+
+    def test_block_diag_suite_flags_a_dense_solution(self, monkeypatch):
+        monkeypatch.setattr(
+            solvers, "lsr_constrained",
+            lambda data: solvers.Coefficients(
+                np.ones((data.n_samples,) * 2), 0.0, "constrained", False
+            ),
+        )
+        suite = metrics.block_diagonality_suite(trials=2, seed=0)
+        assert not suite["passed"]
+        assert suite["max_orthogonal_violation"] <= metrics.BLOCK_DIAG_ORTH_TOL
+        assert suite["witness"]["trial"] == 0
+        assert suite["witness"]["independent_violation"] > metrics.BLOCK_DIAG_TOL
+        assert suite["insufficient_specs"] == 1
