@@ -6,8 +6,10 @@ machine-verifies the structural claims, ``bench`` times the solvers.
 
 Every option is one ``RunConfig`` field: its flag (``--pca-dim``), its
 environment variable (``LSRSEG_PCA_DIM``), its --config key, its parser
-(from the field's annotation) and the subcommands that take the flag all
-derive from that field; ``lam`` is spelled ``--lambda``/``LSRSEG_LAMBDA``.
+(from the field's annotation), its range (choices or a lower bound) and
+the subcommands that take it all derive from that field; ``lam`` is
+spelled ``--lambda``/``LSRSEG_LAMBDA``. A subcommand reads the environment
+variables and config keys of its own options only and ignores the rest.
 Every run writes its fully resolved configuration (defaults, presets and
 seed included) next to the results; rerunning from that file reproduces
 the outputs except for timings. Option resolution order is: explicit flag,
@@ -58,11 +60,13 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-def _option(default, *commands: str, choices: tuple | None = None):
-    """A RunConfig field that is also an option: a flag of ``commands``
-    (of every subcommand when none are named), an LSRSEG_* environment
-    variable and a --config key, all read with the cast of its annotation."""
-    return field(default=default, metadata={"commands": commands, "choices": choices})
+def _option(default, *commands: str, choices: tuple | None = None, minimum: int | None = None):
+    """A RunConfig field that is also an option of ``commands``: a flag, an
+    LSRSEG_* environment variable and a --config key, all read with the cast
+    of its annotation and held to ``choices`` and to ``minimum`` (every
+    element of a tuple)."""
+    metadata = {"commands": commands, "choices": choices, "minimum": minimum}
+    return field(default=default, metadata=metadata)
 
 
 @dataclass
@@ -70,17 +74,17 @@ class RunConfig:
     """Fully resolved options for one run; serialized next to every output."""
 
     command: str
-    input: str | None = _option(None)
-    output: str | None = _option(None)
-    solver: str = _option("lsr1", choices=SOLVER_NAMES)
-    lam: float = _option(1e-2)
-    k: int | None = _option(None)
-    pca_dim: int | None = _option(None)
-    seed: int = _option(0)
-    restarts: int = _option(20)
-    normalize_columns: bool = _option(False)
-    preset: str | None = _option(None, choices=tuple(sorted(PRESETS)))
-    ambient_dim: int | None = _option(None, "synth", "bench")
+    input: str | None = _option(None, "solve", "segment")
+    output: str | None = _option(None, "synth", "solve", "segment", "check", "bench")
+    solver: str = _option("lsr1", "solve", "segment", choices=SOLVER_NAMES)
+    lam: float = _option(1e-2, "solve", "segment", "bench")
+    k: int | None = _option(None, "segment", minimum=1)
+    pca_dim: int | None = _option(None, "solve", "segment", minimum=1)
+    seed: int = _option(0, "synth", "segment", "check", "bench", minimum=0)
+    restarts: int = _option(20, "segment", minimum=1)
+    normalize_columns: bool = _option(False, "synth", "solve", "segment")
+    preset: str | None = _option(None, "solve", "segment", choices=tuple(sorted(PRESETS)))
+    ambient_dim: int | None = _option(None, "synth", "bench", minimum=1)
     dims: tuple[int, ...] | None = _option(None, "synth")
     samples: tuple[int, ...] | None = _option(None, "synth")
     mode: str = _option(
@@ -89,27 +93,24 @@ class RunConfig:
     noise_sigma: float = _option(0.0, "synth")
     correlation: float | None = _option(None, "synth")
     spec_file: str | None = _option(None, "synth")
-    trials: int = _option(200, "check")
+    trials: int = _option(200, "check", minimum=1)
     ebd_criterion: str | None = _option(None, "check", choices=tuple(metrics.EBD_TABLE))
-    sizes: tuple[int, ...] = _option((100, 200, 400), "bench")
-    reps: int = _option(5, "bench")
-    tol_feasibility: float = _option(solvers.FEASIBILITY_TOL)
-    tol_sv: float = _option(linalg.SV_CUTOFF)
+    sizes: tuple[int, ...] = _option((100, 200, 400), "bench", minimum=1)
+    reps: int = _option(5, "bench", minimum=1)
 
     def __post_init__(self):
         for f in fields(self):
-            choices = f.metadata.get("choices")
             value = getattr(self, f.name)
-            if choices and value is not None and value not in choices:
+            if value is None:
+                continue
+            choices, minimum = f.metadata.get("choices"), f.metadata.get("minimum")
+            if choices and value not in choices:
                 raise ConfigError(f"{f.name} must be one of {choices}, got {value!r}")
+            values = value if isinstance(value, tuple) else (value,)
+            if minimum is not None and any(v < minimum for v in values):
+                raise ConfigError(f"{f.name} must be >= {minimum}, got {value!r}")
         if self.solver != solvers.CONSTRAINED and not self.lam > 0:
             raise ConfigError(f"lambda must be > 0 for {self.solver}, got {self.lam}")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        if self.restarts < 1:
-            raise ConfigError("restarts must be >= 1")
-        if self.k is not None and self.k < 1:
-            raise ConfigError("k must be >= 1")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -147,6 +148,12 @@ _CASTS = {
     for name, hint in typing.get_type_hints(RunConfig).items()
     if name != "command"
 }
+
+
+def _options(command: str) -> list:
+    """The RunConfig fields that are options of ``command``, in field order."""
+    return [f for f in fields(RunConfig) if command in f.metadata.get("commands", ())]
+
 
 # Flags and env names spell the field name, except --lambda / LSRSEG_LAMBDA.
 _RENAMED = {"lam": "lambda"}
@@ -187,15 +194,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raw = _env_value(name)
         return None if raw is None else _cast(name, raw)
 
-    preset_values = PRESETS.get(given("preset"), {})
-    resolved = {"command": args.command}
-    for name in _CASTS:
-        value = given(name)
-        if value is None:
-            value = preset_values.get(name)
-        if value is not None:
-            resolved[name] = value
-    return RunConfig(**resolved)
+    values = {f.name: given(f.name) for f in _options(args.command)}
+    preset = PRESETS.get(values.get("preset"), {})
+    values = {name: preset.get(name) if v is None else v for name, v in values.items()}
+    return RunConfig(args.command, **{n: v for n, v in values.items() if v is not None})
 
 
 def _write_json(path, payload: dict) -> None:
@@ -215,23 +217,36 @@ def _payload(cfg: RunConfig, **sections) -> dict:
 
 def _run_solver(cfg: RunConfig, data: datagen.DataMatrix) -> solvers.Coefficients:
     if cfg.solver == solvers.CONSTRAINED:
-        return solvers.lsr_constrained(
-            data, tol=cfg.tol_feasibility, sv_tol=cfg.tol_sv
-        )
+        return solvers.lsr_constrained(data)
     if cfg.solver == solvers.LSR1:
         return solvers.lsr1(data, cfg.lam)
     return solvers.lsr2(data, cfg.lam)
 
 
-def _load_input(cfg: RunConfig) -> tuple[datagen.DataMatrix, ingest.DatasetManifest | None]:
+def _prepared_input(
+    cfg: RunConfig, times: dict[str, float]
+) -> tuple[datagen.DataMatrix, ingest.DatasetManifest | None]:
+    """Load --input (CSV or manifest), then unit columns and PCA as the flags,
+    else the manifest, ask; loading and PCA are timed into ``times``."""
     if cfg.input is None:
         raise ConfigError("--input is required")
+    t0 = time.perf_counter()
+    manifest = None
     if str(cfg.input).endswith(".json"):
         manifest = ingest.DatasetManifest.load(cfg.input)
         # A relative data path is relative to the manifest, not the cwd.
         manifest.path = str(Path(cfg.input).parent / manifest.path)
-        return ingest.load_csv(manifest), manifest
-    return ingest.load_csv(cfg.input), None
+    data = ingest.load_csv(manifest or cfg.input)
+    times["load"] = time.perf_counter() - t0
+
+    if cfg.normalize_columns or (manifest and manifest.normalize_columns):
+        data = ingest.unit_columns(data)
+    pca_dim = cfg.pca_dim or (manifest and manifest.pca_dim)
+    if pca_dim:
+        t0 = time.perf_counter()
+        data = ingest.pca_project(data, pca_dim)
+        times["pca"] = time.perf_counter() - t0
+    return data, manifest
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +295,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     """emit the coefficient matrix without clustering"""
     if cfg.output is None:
         raise ConfigError("--output is required for solve")
-    data, manifest = _load_input(cfg)
-    if cfg.normalize_columns or (manifest and manifest.normalize_columns):
-        data = ingest.unit_columns(data)
-    pca_dim = cfg.pca_dim or (manifest.pca_dim if manifest else None)
-    if pca_dim:
-        data = ingest.pca_project(data, pca_dim)
+    data, _ = _prepared_input(cfg, {})
     coeffs = _run_solver(cfg, data)
     ingest.write_csv(coeffs.z, cfg.output)
     _write_json(
@@ -299,18 +309,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 def run_segmentation(cfg: RunConfig) -> metrics.SegmentationReport:
     """The segment pipeline: load, preprocess, solve, cluster, score."""
     times: dict[str, float] = {}
-    t0 = time.perf_counter()
-    data, manifest = _load_input(cfg)
-    times["load"] = time.perf_counter() - t0
-
-    if cfg.normalize_columns or (manifest and manifest.normalize_columns):
-        data = ingest.unit_columns(data)
-    pca_dim = cfg.pca_dim or (manifest.pca_dim if manifest else None)
-    if pca_dim:
-        t0 = time.perf_counter()
-        data = ingest.pca_project(data, pca_dim)
-        times["pca"] = time.perf_counter() - t0
-
+    data, manifest = _prepared_input(cfg, times)
     t0 = time.perf_counter()
     coeffs = _run_solver(cfg, data)
     times["solve"] = time.perf_counter() - t0
@@ -468,9 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, run in DISPATCH.items():
         p = sub.add_parser(command, help=run.__doc__)
         p.add_argument("--config", help="JSON output of a previous run to rerun from")
-        for f in fields(RunConfig):
-            if f.name not in _CASTS or command not in (f.metadata["commands"] or DISPATCH):
-                continue
+        for f in _options(command):
             if _CASTS[f.name] is _parse_bool:
                 p.add_argument(_flag(f.name), dest=f.name, action="store_true", default=None)
             else:

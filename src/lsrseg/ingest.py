@@ -115,9 +115,13 @@ def load_csv(source) -> DataMatrix:
             if labels is not None:
                 raise ParseError("duplicate label row", line=lineno)
             try:
-                labels = np.asarray([int(float(c)) for c in cells[1:]], dtype=int)
+                values = np.asarray(cells[1:], dtype=float)
             except ValueError:
+                values = np.array([np.nan])
+            # a label is a finite integral value that fits in int64
+            if not np.all((np.abs(values) < 2.0**63) & (values == np.trunc(values))):
                 raise ParseError("label row contains a non-integer", line=lineno)
+            labels = values.astype(np.int64)
             continue
         if labels is not None:
             raise ParseError("label row must be the final row", line=lineno)

@@ -97,9 +97,6 @@ class GroupingBoundReport:
             return 0.0
         return max(lhs - rhs for _, _, lhs, rhs, _ in self.pairs)
 
-    def holds(self, tol: float = 1e-9) -> bool:
-        return self.max_slack_violation <= tol
-
 
 def data_array(x) -> np.ndarray:
     """Accept a DataMatrix or a plain array-like; return the d x n array."""

@@ -66,6 +66,20 @@ class TestSolve:
         assert meta["config"]["lam"] == 0.01
         assert meta["variant"] == "lsr2"
 
+    def test_manifest_preprocessing(self, dataset, tmp_path):
+        # unit columns and PCA from the manifest; a --pca-dim flag beats it
+        manifest = ingest.DatasetManifest(path=str(dataset), normalize_columns=True,
+                                          pca_dim=6)
+        mpath = tmp_path / "m.json"
+        manifest.save(mpath)
+        unit = ingest.unit_columns(ingest.load_csv(dataset))
+        for flags, dim in (([], 6), (["--pca-dim", 4], 4)):
+            out = tmp_path / "z.csv"
+            assert run("solve", "--input", mpath, "--output", out, "--solver", "lsr1",
+                       "--lambda", 0.01, *flags) == cli.EXIT_OK
+            expected = solvers.lsr1(ingest.pca_project(unit, dim), 0.01).z
+            assert np.array_equal(ingest.load_csv(out).x, expected)
+
 
 class TestSegment:
     def test_exact_recovery_and_report(self, dataset, tmp_path):
@@ -166,6 +180,13 @@ class TestExitCodes:
         bad.write_text("1,2\n3\n")
         assert run("solve", "--input", bad, "--output", tmp_path / "z.csv",
                    "--solver", "lsr1", "--lambda", 0.1) == cli.EXIT_IO
+
+    @pytest.mark.parametrize("cell", ["1.5", "inf"])
+    def test_non_integer_label_is_io_error(self, cell, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"1,0,1\n0,1,1\n#labels,0,{cell},1\n")
+        assert run("segment", "--input", bad, "--solver", "lsr1",
+                   "--lambda", 0.1) == cli.EXIT_IO
 
     def test_bad_lambda_is_config_error(self, dataset, tmp_path):
         assert run("segment", "--input", dataset, "--output", tmp_path / "r.json",
@@ -278,21 +299,19 @@ class TestEnvOverrides:
         assert cfg.pca_dim == 12
 
 
-COMMON_FLAGS = {
-    "-h", "--help", "--config", "--input", "--output", "--solver", "--lambda", "--k",
-    "--pca-dim", "--seed", "--restarts", "--preset", "--normalize-columns",
-    "--tol-feasibility", "--tol-sv",
-}
 SUBCOMMAND_FLAGS = {
-    "synth": COMMON_FLAGS | {"--spec-file", "--ambient-dim", "--dims", "--samples",
-                             "--mode", "--noise-sigma", "--correlation"},
-    "solve": COMMON_FLAGS,
-    "segment": COMMON_FLAGS,
-    "check": COMMON_FLAGS | {"--trials", "--ebd-criterion"},
-    "bench": COMMON_FLAGS | {"--sizes", "--ambient-dim", "--reps"},
+    "synth": {"--output", "--seed", "--normalize-columns", "--ambient-dim", "--dims",
+              "--samples", "--mode", "--noise-sigma", "--correlation", "--spec-file"},
+    "solve": {"--input", "--output", "--solver", "--lambda", "--pca-dim",
+              "--normalize-columns", "--preset"},
+    "segment": {"--input", "--output", "--solver", "--lambda", "--k", "--pca-dim",
+                "--seed", "--restarts", "--normalize-columns", "--preset"},
+    "check": {"--output", "--seed", "--trials", "--ebd-criterion"},
+    "bench": {"--output", "--lambda", "--seed", "--ambient-dim", "--sizes", "--reps"},
 }
 
-# field -> (LSRSEG_* text, resolved value); the value's type is the field's
+# field -> (text of its flag, LSRSEG_* variable or config value, resolved
+# value); the value's type is the field's
 ENV_SAMPLES = {
     "input": ("in.csv", "in.csv"),
     "output": ("out.json", "out.json"),
@@ -315,8 +334,6 @@ ENV_SAMPLES = {
     "ebd_criterion": ("nuclear", "nuclear"),
     "sizes": ("10,20", (10, 20)),
     "reps": ("2", 2),
-    "tol_feasibility": ("1e-6", 1e-6),
-    "tol_sv": ("1e-9", 1e-9),
 }
 
 
@@ -324,49 +341,81 @@ def resolve(*argv):
     return cli._resolve_config(cli.build_parser().parse_args([str(a) for a in argv]))
 
 
+def env_name(name):
+    return "LSRSEG_" + ("LAMBDA" if name == "lam" else name.upper())
+
+
+def write_config(tmp_path, stored):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"config": stored}))
+    return path
+
+
 class TestOptionLayer:
     def test_subcommand_flag_sets(self):
         sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
         flags = {
             name: {flag for action in parser._actions for flag in action.option_strings}
+            - {"-h", "--help", "--config"}
             for name, parser in sub.choices.items()
         }
         assert flags == SUBCOMMAND_FLAGS
+        assert sum(map(len, flags.values())) == 37
 
     def test_every_option_has_an_env_sample(self):
         names = [f.name for f in dataclasses.fields(cli.RunConfig) if f.name != "command"]
         assert sorted(ENV_SAMPLES) == sorted(names)
-        assert len(names) + 1 == 24
+        assert len(names) + 1 == 22
 
     @pytest.mark.parametrize("name", sorted(ENV_SAMPLES))
-    def test_env_reaches_config_with_field_type(self, name, monkeypatch):
+    def test_env_reaches_config_with_field_type(self, name, monkeypatch, tmp_path):
+        # The env variable, the flag and the config value each reach the
+        # field with its type, under every subcommand that takes the option.
         text, expected = ENV_SAMPLES[name]
-        monkeypatch.setenv("LSRSEG_" + ("LAMBDA" if name == "lam" else name.upper()), text)
-        value = getattr(resolve("check"), name)
-        assert value == expected
-        assert type(value) is type(expected)
+        flag = [cli._flag(name)] + ([] if expected is True else [text])
+        config = write_config(tmp_path, {name: text})
+        commands = [c for c, flags in SUBCOMMAND_FLAGS.items() if cli._flag(name) in flags]
+        assert commands
+        for command in commands:
+            monkeypatch.setenv(env_name(name), text)
+            from_env = getattr(resolve(command), name)
+            monkeypatch.delenv(env_name(name))
+            from_flag = getattr(resolve(command, *flag), name)
+            from_config = getattr(resolve(command, "--config", config), name)
+            for value in (from_env, from_flag, from_config):
+                assert value == expected
+                assert type(value) is type(expected)
 
     def test_config_file_values_are_cast(self, tmp_path):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"config": {
+        path = write_config(tmp_path, {
             "lam": "0.1", "k": "3", "dims": [2, 2], "normalize_columns": "on",
-        }}))
+        })
+        cfg = resolve("segment", "--config", path)
+        assert (cfg.lam, cfg.k, cfg.normalize_columns) == (0.1, 3, True)
+        assert cfg.dims is None  # not a segment option
         cfg = resolve("synth", "--config", path)
-        assert (cfg.lam, cfg.k, cfg.dims, cfg.normalize_columns) == (0.1, 3, (2, 2), True)
+        assert (cfg.dims, cfg.normalize_columns) == ((2, 2), True)
+        assert (cfg.lam, cfg.k) == (1e-2, None)  # not synth options
 
     @pytest.mark.parametrize("stored", [
         {"lam": "zero"}, {"lam": [0.1]}, {"k": "2.5"}, {"k": 2.5}, {"seed": True},
         {"dims": [2.5, 2]}, [],
     ])
     def test_bad_config_file_value_is_config_error(self, stored, tmp_path):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"config": stored}))
-        assert run("check", "--config", path, "--trials", 10) == cli.EXIT_CONFIG
+        # Run under a subcommand that takes the option. Without the bad
+        # value either run exits 1: its input is absent.
+        if "dims" in stored:
+            args = ["synth", "--spec-file", tmp_path / "absent.json",
+                    "--output", tmp_path / "d.csv"]
+        else:
+            args = ["segment", "--input", tmp_path / "absent.csv"]
+        path = write_config(tmp_path, stored)
+        assert run(*args, "--config", path) == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize("text", ["ture", "", "2"])
-    def test_bad_bool_env_is_config_error(self, text, monkeypatch):
+    def test_bad_bool_env_is_config_error(self, text, monkeypatch, tmp_path):
         monkeypatch.setenv("LSRSEG_NORMALIZE_COLUMNS", text)
-        assert run("check", "--trials", 10) == cli.EXIT_CONFIG
+        assert run("segment", "--input", tmp_path / "absent.csv") == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize("name, command", [
         ("solver", "segment"), ("mode", "synth"), ("ebd_criterion", "check"),
@@ -383,8 +432,49 @@ class TestOptionLayer:
         with pytest.raises(SystemExit) as exc:
             run(command, *args, "--" + name.replace("_", "-"), "bogus")
         assert exc.value.code == cli.EXIT_CONFIG
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"config": {name: "bogus"}}))
+        path = write_config(tmp_path, {name: "bogus"})
         assert run(command, *args, "--config", path) == cli.EXIT_CONFIG
         monkeypatch.setenv("LSRSEG_" + name.upper(), "bogus")
         assert run(command, *args) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, name, text", [
+        ("segment", "pca_dim", "0"), ("solve", "pca_dim", "0"),
+        ("bench", "sizes", "0"), ("bench", "sizes", "10,0"),
+        ("check", "trials", "0"), ("bench", "ambient_dim", "0"),
+        ("segment", "k", "0"), ("segment", "restarts", "0"),
+        ("check", "seed", "-1"), ("bench", "reps", "0"),
+    ])
+    def test_out_of_range_is_config_error(self, command, name, text, monkeypatch,
+                                          tmp_path):
+        # segment and solve would exit 1 without the bad value (no such
+        # input); bench and check would run.
+        args = {
+            "segment": ["--input", tmp_path / "absent.csv"],
+            "solve": ["--input", tmp_path / "absent.csv", "--output", tmp_path / "z.csv"],
+        }.get(command, [])
+        assert run(command, *args, cli._flag(name), text) == cli.EXIT_CONFIG
+        path = write_config(tmp_path, {name: text})
+        assert run(command, *args, "--config", path) == cli.EXIT_CONFIG
+        monkeypatch.setenv(env_name(name), text)
+        assert run(command, *args) == cli.EXIT_CONFIG
+
+    def test_options_a_subcommand_does_not_take_are_ignored(self, dataset, tmp_path,
+                                                            monkeypatch):
+        monkeypatch.setenv("LSRSEG_LAMBDA", "0")
+        assert run("check", "--trials", 10) == cli.EXIT_OK
+        monkeypatch.setenv("LSRSEG_SOLVER", "bogus")
+        assert run("synth", "--output", tmp_path / "d.csv", "--ambient-dim", 6,
+                   "--dims", "1,1", "--samples", "3,3") == cli.EXIT_OK
+        monkeypatch.delenv("LSRSEG_SOLVER")
+        # a run written before the solver tolerances stopped being options
+        path = write_config(tmp_path, {
+            "command": "segment", "input": str(dataset), "solver": "lsr1", "lam": 1e-3,
+            "tol_feasibility": 1e-6, "tol_sv": 1e-9,
+        })
+        assert run("segment", "--config", path) == cli.EXIT_OK
+
+    def test_flag_of_another_subcommand_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run("synth", "--output", tmp_path / "d.csv", "--ambient-dim", 6,
+                "--dims", "1,1", "--samples", "3,3", "--k", 3)
+        assert exc.value.code == cli.EXIT_CONFIG

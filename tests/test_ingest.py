@@ -21,6 +21,20 @@ class TestLoadCsv:
         data = ingest.load_csv(path)
         assert np.array_equal(data.labels, [0, 0, 1])
 
+    def test_integral_float_labels_load(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("1,2,3\n#labels,0,2.0,-1\n")
+        assert np.array_equal(ingest.load_csv(path).labels, [0, 2, -1])
+
+    @pytest.mark.parametrize("cell", ["1.5", "inf", "nan", "1e300"])
+    def test_non_integer_label_is_parse_error(self, cell, tmp_path):
+        # 1.5 used to load as 1, and inf/1e300 escaped as OverflowError.
+        path = tmp_path / "x.csv"
+        path.write_text(f"1,2,3\n4,5,6\n#labels,0,{cell},2\n")
+        with pytest.raises(ingest.ParseError) as err:
+            ingest.load_csv(path)
+        assert err.value.line == 3
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
