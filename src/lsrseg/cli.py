@@ -109,6 +109,8 @@ class RunConfig:
             values = value if isinstance(value, tuple) else (value,)
             if minimum is not None and any(v < minimum for v in values):
                 raise ConfigError(f"{f.name} must be >= {minimum}, got {value!r}")
+        if not np.isfinite(self.lam):
+            raise ConfigError(f"lambda must be finite, got {self.lam}")
         if self.solver != solvers.CONSTRAINED and not self.lam > 0:
             raise ConfigError(f"lambda must be > 0 for {self.solver}, got {self.lam}")
 
@@ -478,6 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _NUMERIC_ERRORS = (
     linalg.DimensionMismatch,
+    linalg.NonFiniteMatrix,
     linalg.NotPositiveDefinite,
     linalg.ConvergenceFailure,
     solvers.NonPositiveLambda,

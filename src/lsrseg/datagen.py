@@ -61,8 +61,8 @@ class SubspaceSpec:
                 f"sum of subspace dims {sum(self.subspace_dims)} exceeds "
                 f"ambient dimension {self.ambient_dim}"
             )
-        if self.noise_sigma < 0:
-            raise SpecInfeasible("noise_sigma must be nonnegative")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise SpecInfeasible("noise_sigma must be finite and nonnegative")
         if self.correlation is not None and not 0.0 <= self.correlation < 1.0:
             raise SpecInfeasible("correlation must lie in [0, 1)")
 
@@ -95,7 +95,6 @@ class DataMatrix:
 
     x: np.ndarray
     labels: np.ndarray | None = None
-    column_norms_unit: bool = False
 
     def __post_init__(self):
         self.x = linalg.as_matrix(self.x, name="data matrix")
@@ -203,10 +202,7 @@ def generate(spec: SubspaceSpec, coefficients=None) -> tuple[DataMatrix, BasisSe
         norms = np.linalg.norm(x, axis=0)
         x = x / np.where(norms > 0, norms, 1.0)
 
-    data = DataMatrix(
-        x, labels=np.asarray(labels), column_norms_unit=spec.normalize_columns
-    )
-    return data, BasisSet(bases)
+    return DataMatrix(x, labels=np.asarray(labels)), BasisSet(bases)
 
 
 def is_independent(bases: BasisSet) -> bool:

@@ -176,7 +176,7 @@ def unit_columns(data: DataMatrix) -> DataMatrix:
     """Rescale each column to unit l2 norm (zero columns are left alone)."""
     norms = np.linalg.norm(data.x, axis=0)
     x = data.x / np.where(norms > 0, norms, 1.0)
-    return DataMatrix(x, labels=data.labels, column_norms_unit=bool(np.all(norms > 0)))
+    return DataMatrix(x, labels=data.labels)
 
 
 def pca_project(data, target_dim: int, center: bool = False) -> DataMatrix:

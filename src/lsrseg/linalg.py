@@ -1,8 +1,7 @@
 """Dense matrix primitives shared by every other module.
 
-Inputs are validated, finite float64 matrices kept in column-major order so
-column slices touch contiguous memory. Factorizations are delegated to
-LAPACK through numpy/scipy.
+Inputs are validated, finite float64 matrices. Factorizations are delegated
+to LAPACK through numpy/scipy.
 """
 
 from __future__ import annotations
@@ -12,12 +11,15 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-SYMMETRY_TOL = 1e-10
 SV_CUTOFF = 1e-10
 
 
 class DimensionMismatch(ValueError):
     """Operand shapes are incompatible."""
+
+
+class NonFiniteMatrix(ValueError):
+    """A matrix holds NaN or infinite entries."""
 
 
 class NotPositiveDefinite(ValueError):
@@ -40,40 +42,31 @@ class SymEigen(NamedTuple):
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate `a` as a nonempty finite 2-D float64 array, column-major."""
-    m = np.asfortranarray(a, dtype=np.float64)
+    """Validate `a` as a nonempty finite 2-D float64 array; a float64 ndarray is not copied."""
+    m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.shape[0] == 0 or m.shape[1] == 0:
         raise DimensionMismatch(f"{name} must be nonempty, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteMatrix(f"{name} contains non-finite entries")
     return m
 
 
-def symmetrize(a: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
-    """Average away floating-point asymmetry; reject genuinely asymmetric input.
-
-    Asymmetry up to ``tol`` (relative to the max-abs entry, floored at 1)
-    is treated as drift and removed with (a + a.T) / 2.
-    """
+def _square(a) -> np.ndarray:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got {a.shape}")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    asym = float(np.max(np.abs(a - a.T)))
-    if asym > tol * scale:
-        raise ValueError(f"matrix asymmetry {asym:.3e} exceeds tolerance {tol:.1e}")
-    return (a + a.T) / 2.0
+    return a
 
 
 def solve_spd(a, b) -> np.ndarray:
     """Solve a @ s = b for symmetric positive-definite `a` via Cholesky.
 
-    `b` may be a vector or a matrix of right-hand sides; the result has the
-    same trailing shape.
+    Only the lower triangle of `a` is read. `b` may be a vector or a matrix
+    of right-hand sides; the result has the same trailing shape.
     """
-    a = symmetrize(a)
+    a = _square(a)
     b_arr = np.asarray(b, dtype=np.float64)
     if b_arr.ndim not in (1, 2):
         raise DimensionMismatch(f"rhs must be 1-D or 2-D, got ndim={b_arr.ndim}")
@@ -82,7 +75,7 @@ def solve_spd(a, b) -> np.ndarray:
             f"rhs has {b_arr.shape[0]} rows, matrix is {a.shape[0]}x{a.shape[1]}"
         )
     if not np.all(np.isfinite(b_arr)):
-        raise ValueError("rhs contains non-finite entries")
+        raise NonFiniteMatrix("rhs contains non-finite entries")
     try:
         factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
@@ -90,9 +83,9 @@ def solve_spd(a, b) -> np.ndarray:
     return scipy.linalg.cho_solve(factor, b_arr, check_finite=False)
 
 
-def sym_eigen(a, tol: float = SYMMETRY_TOL) -> SymEigen:
-    """Eigendecompose a symmetric matrix; eigenvalues ascending."""
-    a = symmetrize(a, tol=tol)
+def sym_eigen(a) -> SymEigen:
+    """Eigendecompose a symmetric matrix, reading its lower triangle; eigenvalues ascending."""
+    a = _square(a)
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

@@ -7,9 +7,9 @@ column as a combination of the others:
   closed form Z = -Q / diag(Q) with Q the projector onto null(X), or the
   shape-interaction matrix V_r V_r^T without the diagonal constraint.
 * ``lsr1``             min ||X - XZ||_F^2 + lam*||Z||_F^2  s.t. diag(Z) = 0,
-  closed form Z = -D / diag(D) with D = (X^T X + lam*I)^{-1}.
+  closed form Z = -P / diag(P) with P = (X^T X + lam*I)^{-1}.
 * ``lsr2``             the unconstrained ridge form,
-  closed form Z = (X^T X + lam*I)^{-1} X^T X.
+  closed form Z = (X^T X + lam*I)^{-1} X^T X = I - lam*P, with the same P.
 * ``column_oracle_ridge``  the slow reference: one independent SPD solve per
   column, used to cross-check the closed forms.
 """
@@ -174,28 +174,33 @@ def lsr_constrained(
     return Coefficients(z, 0.0, CONSTRAINED, zero_diag)
 
 
+def _ridge_inverse(x, lam: float) -> np.ndarray:
+    """P = (X^T X + lam*I)^{-1}, the one n x n inverse both ridge forms share."""
+    mat = data_array(x)
+    n = mat.shape[1]
+    gram = mat.T @ mat
+    gram.flat[:: n + 1] += lam
+    return linalg.solve_spd(gram, np.eye(n))
+
+
 def lsr1(x, lam: float) -> Coefficients:
     """Closed-form diag-constrained ridge representation.
 
-    Computes D = (X^T X + lam*I)^{-1} once and rescales its columns,
-    Z[:, i] = -D[:, i] / D[i, i] with a zero diagonal, instead of solving
+    Computes P = (X^T X + lam*I)^{-1} once and rescales its columns,
+    Z[:, i] = -P[:, i] / P[i, i] with a zero diagonal, instead of solving
     one reduced ridge system per column.
     """
     lam = _check_lambda(lam)
-    mat = data_array(x)
-    n = mat.shape[1]
-    gram = mat.T @ mat
-    d = linalg.solve_spd(gram + lam * np.eye(n), np.eye(n))
-    return Coefficients(_zero_diag_rescale(d), lam, LSR1, True)
+    return Coefficients(_zero_diag_rescale(_ridge_inverse(x, lam)), lam, LSR1, True)
 
 
 def lsr2(x, lam: float) -> Coefficients:
-    """Closed-form unconstrained ridge representation (X^T X + lam*I)^{-1} X^T X."""
+    """Closed-form unconstrained ridge representation (X^T X + lam*I)^{-1} X^T X,
+    formed in place as I - lam*P from the inverse P that ``lsr1`` rescales."""
     lam = _check_lambda(lam)
-    mat = data_array(x)
-    n = mat.shape[1]
-    gram = mat.T @ mat
-    z = linalg.solve_spd(gram + lam * np.eye(n), gram)
+    z = _ridge_inverse(x, lam)
+    z *= -lam
+    z.flat[:: z.shape[0] + 1] += 1.0
     return Coefficients(z, lam, LSR2, False)
 
 

@@ -53,6 +53,13 @@ class TestSynth:
         assert run("synth", "--ambient-dim", 6, "--dims", "1,1",
                    "--samples", "3,3") == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_noise_sigma_is_config_error(self, sigma, tmp_path):
+        out = tmp_path / "d.csv"
+        assert run("synth", "--output", out, "--ambient-dim", 6, "--dims", "1,1",
+                   "--samples", "3,3", "--noise-sigma", sigma) == cli.EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSolve:
     def test_emits_square_matrix(self, dataset, tmp_path):
@@ -191,6 +198,23 @@ class TestExitCodes:
     def test_bad_lambda_is_config_error(self, dataset, tmp_path):
         assert run("segment", "--input", dataset, "--output", tmp_path / "r.json",
                    "--solver", "lsr1", "--lambda", -1.0) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("solver, text", [
+        ("lsr1", "inf"), ("constrained", "inf"), ("constrained", "nan"),
+    ])
+    def test_non_finite_lambda_names_lambda(self, solver, text, dataset, capsys):
+        # constrained ignores lambda but records it in the run's JSON config
+        assert run("segment", "--input", dataset, "--solver", solver,
+                   "--lambda", text) == cli.EXIT_CONFIG
+        assert "lambda" in capsys.readouterr().err
+
+    def test_overflowing_gram_matrix_is_numeric_error(self, tmp_path, capsys):
+        # finite entries ~1e200 overflow X^T X to inf inside the solve
+        path = tmp_path / "huge.csv"
+        rng = np.random.default_rng(0)
+        ingest.write_csv(1e200 * rng.uniform(1.0, 2.0, (4, 8)), path)
+        assert run("segment", "--input", path, "--k", 2) == cli.EXIT_NUMERIC
+        assert "non-finite" in capsys.readouterr().err
 
     def test_unknown_preset_is_config_error(self, dataset, monkeypatch):
         monkeypatch.setenv("LSRSEG_PRESET", "not-a-preset")
@@ -443,6 +467,7 @@ class TestOptionLayer:
         ("check", "trials", "0"), ("bench", "ambient_dim", "0"),
         ("segment", "k", "0"), ("segment", "restarts", "0"),
         ("check", "seed", "-1"), ("bench", "reps", "0"),
+        ("segment", "lam", "inf"),
     ])
     def test_out_of_range_is_config_error(self, command, name, text, monkeypatch,
                                           tmp_path):

@@ -246,6 +246,24 @@ class TestLsr2:
         )
         assert np.max(gap) <= 1e-10
 
+    @pytest.mark.parametrize("lam, bound", [(1e-8, 1e-7), (1e-4, 1e-11), (1e-1, 1e-13)])
+    def test_matches_50_digit_reference_on_near_duplicate_columns(self, lam, bound):
+        # Seven unit columns in R^6, each with a near-duplicate 1e-5 away:
+        # X^T X + lam*I has condition ~1/lam, and I - lam*P must still
+        # track (X^T X + lam*I)^{-1} X^T X to about eps/lam.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(0)
+        base = rng.standard_normal((6, 7))
+        x = np.hstack([base, base + 1e-5 * rng.standard_normal((6, 7))])
+        x /= np.linalg.norm(x, axis=0)
+        with mpmath.workdps(50):
+            m = mpmath.matrix(x.tolist())
+            gram = m.T * m
+            exact = (gram + mpmath.mpf(lam) * mpmath.eye(14)) ** -1 * gram
+            reference = np.array(exact.tolist(), dtype=float)
+        z = solvers.lsr2(x, lam).z
+        assert np.max(np.abs(z - reference)) <= bound * np.max(np.abs(reference))
+
 
 class TestColumnOracle:
     def test_identity_data_zero(self):

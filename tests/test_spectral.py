@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,49 @@ class TestNormalizedCuts:
         values = linalg.sym_eigen(lap).values
         assert values[0] >= -1e-10
         assert values[0] <= 1e-10
+
+
+class TestPeakMemory:
+    """Live n x n float64 buffers per layer call at n = 500, traced by tracemalloc.
+
+    The ridge solvers hold X^T X + lam*I, its Cholesky factor, the identity
+    right-hand side and the solution; the affinity |Z| and its symmetrized
+    sum; normalized cuts the Laplacian, eigh's working copy and eigenvectors.
+    """
+
+    N = 500
+
+    @pytest.fixture(scope="class")
+    def pipeline(self):
+        spec = datagen.SubspaceSpec(
+            ambient_dim=30,
+            subspace_dims=(5,) * 5,
+            samples_per_subspace=(self.N // 5,) * 5,
+            noise_sigma=0.05,
+            normalize_columns=True,
+        )
+        data, _ = datagen.generate(spec)
+        coeffs = solvers.lsr1(data, 1e-2)
+        return {
+            "lsr1": (solvers.lsr1, data, 1e-2),
+            "lsr2": (solvers.lsr2, data, 1e-2),
+            "build_affinity": (spectral.build_affinity, coeffs),
+            "normalized_cuts": (spectral.normalized_cuts, spectral.build_affinity(coeffs), 5),
+        }
+
+    @pytest.mark.parametrize("layer, limit", [
+        ("lsr1", 4.1), ("lsr2", 4.1), ("build_affinity", 2.2), ("normalized_cuts", 3.1),
+    ])
+    def test_peak_nxn_buffers(self, pipeline, layer, limit):
+        func, *args = pipeline[layer]
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            func(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / (8.0 * self.N**2) <= limit
 
 
 class TestLabeling:
