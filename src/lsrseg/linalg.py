@@ -1,7 +1,7 @@
 """Dense matrix primitives shared by every other module.
 
 Inputs are validated, finite float64 matrices. Factorizations are delegated
-to LAPACK through numpy/scipy.
+to LAPACK through numpy/scipy, and partial symmetric eigensolves to ARPACK.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 SV_CUTOFF = 1e-10
 
@@ -83,13 +84,28 @@ def solve_spd(a, b) -> np.ndarray:
     return scipy.linalg.cho_solve(factor, b_arr, check_finite=False)
 
 
-def sym_eigen(a) -> SymEigen:
-    """Eigendecompose a symmetric matrix, reading its lower triangle; eigenvalues ascending."""
-    a = _square(a)
+def sym_eigen(a, count: int | None = None) -> SymEigen:
+    """Eigenpairs of a symmetric matrix, eigenvalues ascending.
+
+    Without ``count``, all n eigenpairs of the dense matrix `a` by LAPACK,
+    reading its lower triangle. With ``count`` (1 <= count < n - 1), only
+    the ``count`` largest, by ARPACK's implicitly restarted Lanczos from the
+    fixed start vector ones(n); `a` may then be a
+    ``scipy.sparse.linalg.LinearOperator``, used only through products a @ v.
+    """
+    if count is None:
+        a = _square(a)
+        try:
+            values, vectors = np.linalg.eigh(a)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(str(exc)) from exc
+        return SymEigen(values, vectors)
     try:
-        values, vectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+        values, vectors = scipy.sparse.linalg.eigsh(
+            a, k=count, which="LA", v0=np.ones(a.shape[0])
+        )
+    except scipy.sparse.linalg.ArpackError as exc:
+        raise ConvergenceFailure(f"Lanczos eigensolve: {exc}") from exc
     return SymEigen(values, vectors)
 
 

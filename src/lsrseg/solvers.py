@@ -32,7 +32,7 @@ UNIT_NORM_TOL = 1e-10
 
 
 class NonPositiveLambda(ValueError):
-    """Regularization weight must be strictly positive."""
+    """Regularization weight must be finite and strictly positive."""
 
 
 class InfeasibleColumn(ValueError):
@@ -107,8 +107,8 @@ def data_array(x) -> np.ndarray:
 
 def _check_lambda(lam: float) -> float:
     lam = float(lam)
-    if not lam > 0:
-        raise NonPositiveLambda(f"lam must be > 0, got {lam}")
+    if not 0 < lam < np.inf:
+        raise NonPositiveLambda(f"lambda must be finite and > 0, got {lam}")
     return lam
 
 
@@ -178,7 +178,10 @@ def _ridge_inverse(x, lam: float) -> np.ndarray:
     """P = (X^T X + lam*I)^{-1}, the one n x n inverse both ridge forms share."""
     mat = data_array(x)
     n = mat.shape[1]
-    gram = mat.T @ mat
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = mat.T @ mat
+    if not np.isfinite(gram).all():
+        raise linalg.NonFiniteMatrix("Gram matrix X^T X overflows float64; rescale the data")
     gram.flat[:: n + 1] += lam
     return linalg.solve_spd(gram, np.eye(n))
 

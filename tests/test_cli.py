@@ -4,6 +4,7 @@ import shutil
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from lsrseg import cli, ingest, solvers
 
@@ -208,13 +209,30 @@ class TestExitCodes:
                    "--lambda", text) == cli.EXIT_CONFIG
         assert "lambda" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_gram_matrix_is_numeric_error(self, tmp_path, capsys):
         # finite entries ~1e200 overflow X^T X to inf inside the solve
         path = tmp_path / "huge.csv"
         rng = np.random.default_rng(0)
         ingest.write_csv(1e200 * rng.uniform(1.0, 2.0, (4, 8)), path)
         assert run("segment", "--input", path, "--k", 2) == cli.EXIT_NUMERIC
-        assert "non-finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Gram matrix" in err and "overflows" in err
+
+    def test_lanczos_no_convergence_is_numeric_error(self, tmp_path, monkeypatch, capsys):
+        def no_convergence(a, k, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "No convergence", np.empty(0), np.empty((a.shape[0], 0))
+            )
+
+        # 300 samples put normalized cuts on its Lanczos path
+        path = tmp_path / "data.csv"
+        assert run("synth", "--output", path, "--ambient-dim", 30, "--dims", "5,5,5",
+                   "--samples", "100,100,100", "--noise-sigma", 0.05, "--seed", 0) == cli.EXIT_OK
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        assert run("segment", "--input", path, "--solver", "lsr1",
+                   "--lambda", 0.01) == cli.EXIT_NUMERIC
+        assert "Lanczos eigensolve: ARPACK error -1: No convergence" in capsys.readouterr().err
 
     def test_unknown_preset_is_config_error(self, dataset, monkeypatch):
         monkeypatch.setenv("LSRSEG_PRESET", "not-a-preset")

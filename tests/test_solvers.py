@@ -280,6 +280,22 @@ class TestColumnOracle:
             solvers.column_oracle_ridge(np.eye(2), -1.0)
 
 
+LAMBDA_SOLVERS = {
+    "lsr1": lambda lam: solvers.lsr1(np.eye(3), lam),
+    "lsr2": lambda lam: solvers.lsr2(np.eye(3), lam),
+    "column_oracle_ridge": lambda lam: solvers.column_oracle_ridge(np.eye(3), lam),
+    "grouping_bound_report": lambda lam: solvers.grouping_bound_report(np.eye(3), np.ones(3), lam),
+}
+
+
+class TestLambdaValidation:
+    @pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("solver", LAMBDA_SOLVERS)
+    def test_rejects_lambda_that_is_not_finite_and_positive(self, solver, lam):
+        with pytest.raises(solvers.NonPositiveLambda, match="lambda must be finite and > 0"):
+            LAMBDA_SOLVERS[solver](lam)
+
+
 class TestEquivalenceProperties:
     @settings(max_examples=30, deadline=None)
     @given(

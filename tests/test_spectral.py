@@ -148,12 +148,123 @@ class TestNormalizedCuts:
         assert values[0] <= 1e-10
 
 
+def noisy_union_affinity(n):
+    """lsr1 affinity of n noisy unit columns from five 5-dim subspaces of R^30."""
+    spec = datagen.SubspaceSpec(
+        ambient_dim=30,
+        subspace_dims=(5,) * 5,
+        samples_per_subspace=(n // 5,) * 5,
+        noise_sigma=0.05,
+        normalize_columns=True,
+    )
+    data, _ = datagen.generate(spec)
+    return spectral.build_affinity(solvers.lsr1(data, 1e-2)).w
+
+
+def with_isolated_nodes(w, count):
+    n = w.shape[0] + count
+    padded = np.zeros((n, n))
+    padded[: w.shape[0], : w.shape[0]] = w
+    return padded
+
+
+def cluster_on_path(monkeypatch, w, k, dense_max_n):
+    """normalized_cuts with DENSE_EIGEN_MAX_N set, plus the one sym_eigen call it made."""
+    monkeypatch.setattr(spectral, "DENSE_EIGEN_MAX_N", dense_max_n)
+    calls = []
+    sym_eigen = linalg.sym_eigen
+
+    def spy(a, count=None):
+        result = sym_eigen(a, count=count)
+        calls.append((count, result))
+        return result
+
+    monkeypatch.setattr(linalg, "sym_eigen", spy)
+    labeling = spectral.normalized_cuts(w, k, seed=0)
+    monkeypatch.setattr(linalg, "sym_eigen", sym_eigen)
+    (call,) = calls
+    return labeling, call
+
+
+def bottom_laplacian_values(call, k):
+    """The k+1 smallest Laplacian eigenvalues from a dense or a Lanczos sym_eigen call."""
+    count, eigen = call
+    if count is None:
+        return eigen.values[: k + 1]
+    return 1.0 - eigen.values[::-1]
+
+
+class TestLanczosPath:
+    """The Lanczos path of normalized_cuts against the dense eigh path."""
+
+    @pytest.fixture(scope="class")
+    def noisy_600(self):
+        return noisy_union_affinity(600)
+
+    def assert_paths_agree(self, monkeypatch, w, k):
+        dense, dense_call = cluster_on_path(monkeypatch, w, k, dense_max_n=10**9)
+        lanczos, lanczos_call = cluster_on_path(monkeypatch, w, k, dense_max_n=0)
+        assert dense_call[0] is None and lanczos_call[0] == k + 1
+        assert np.max(np.abs(
+            bottom_laplacian_values(lanczos_call, k) - bottom_laplacian_values(dense_call, k)
+        )) <= 1e-12
+        assert lanczos.eigen_tie == dense.eigen_tie
+        assert lanczos.zero_degree == dense.zero_degree
+        return dense, lanczos
+
+    def test_noisy_union(self, monkeypatch, noisy_600):
+        dense, lanczos = self.assert_paths_agree(monkeypatch, noisy_600, 5)
+        assert metrics.segmentation_error(lanczos, dense.labels) == 0.0
+        assert not lanczos.eigen_tie
+
+    @pytest.mark.parametrize("w, k", [
+        (block_affinity([40, 50, 30, 45, 35], seed=1)[0], 5),
+        (np.kron(np.eye(5), np.ones((40, 40))), 5),
+        (with_isolated_nodes(block_affinity([50, 60, 40, 55], seed=2)[0], 3), 4),
+    ], ids=["block_diagonal", "equal_cliques", "isolated_nodes"])
+    def test_k_components(self, monkeypatch, w, k):
+        # a repeated eigenvalue 1 of D^{-1/2} W D^{-1/2}, one copy per component
+        dense, lanczos = self.assert_paths_agree(monkeypatch, w, k)
+        assert metrics.segmentation_error(lanczos, dense.labels) == 0.0
+        assert not lanczos.eigen_tie
+
+    def test_more_components_than_k(self, monkeypatch):
+        # The k+1 eigenvalues at the cut are all 0, so the spectrum does not
+        # fix the partition (eigen_tie): either path may pick any k of the 7
+        # components' indicators, but neither may split a component.
+        w, components = block_affinity([30] * 7, seed=3)
+        dense, lanczos = self.assert_paths_agree(monkeypatch, w, 5)
+        assert dense.eigen_tie and lanczos.eigen_tie
+        for labeling in (dense, lanczos):
+            for c in range(7):
+                assert np.unique(labeling.labels[components == c]).size == 1
+
+    @pytest.mark.parametrize("k", [3, 20])
+    def test_each_side_of_the_cut(self, monkeypatch, noisy_600, k):
+        cut = max(spectral.DENSE_EIGEN_MAX_N, spectral.DENSE_EIGEN_N_PER_PAIR * (k + 1))
+        dense_max_n = spectral.DENSE_EIGEN_MAX_N
+        for n, expected_count in ((cut, None), (cut + 1, k + 1)):
+            _, (count, _) = cluster_on_path(monkeypatch, noisy_600[:n, :n], k, dense_max_n)
+            assert count == expected_count
+        w = noisy_600[: cut + 1, : cut + 1]
+        dense, lanczos = self.assert_paths_agree(monkeypatch, w, k)
+        assert metrics.segmentation_error(lanczos, dense.labels) == 0.0
+
+    @pytest.mark.parametrize("k", [9, 10])
+    def test_k_plus_one_at_least_n_stays_dense(self, monkeypatch, k):
+        w, _ = block_affinity([5, 5], seed=4)
+        labeling, (count, eigen) = cluster_on_path(monkeypatch, w, k, dense_max_n=0)
+        assert count is None and eigen.values.size == 10
+        assert labeling.n == 10
+
+
 class TestPeakMemory:
     """Live n x n float64 buffers per layer call at n = 500, traced by tracemalloc.
 
     The ridge solvers hold X^T X + lam*I, its Cholesky factor, the identity
     right-hand side and the solution; the affinity |Z| and its symmetrized
-    sum; normalized cuts the Laplacian, eigh's working copy and eigenvectors.
+    sum. Normalized cuts forms no n x n buffer: the Lanczos basis and work
+    vectors of length n are all it adds to its input affinity (0.16 here).
     """
 
     N = 500
@@ -177,7 +288,7 @@ class TestPeakMemory:
         }
 
     @pytest.mark.parametrize("layer, limit", [
-        ("lsr1", 4.1), ("lsr2", 4.1), ("build_affinity", 2.2), ("normalized_cuts", 3.1),
+        ("lsr1", 4.1), ("lsr2", 4.1), ("build_affinity", 2.2), ("normalized_cuts", 0.2),
     ])
     def test_peak_nxn_buffers(self, pipeline, layer, limit):
         func, *args = pipeline[layer]
