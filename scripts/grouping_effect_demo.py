@@ -8,7 +8,7 @@ coefficient gap against the theoretical bound sqrt(2(1-r)) / lam.
 
 import argparse
 
-from lsrseg import datagen, ingest, metrics, solvers
+from lsrseg import datagen, metrics, solvers
 
 
 def main():
@@ -26,7 +26,6 @@ def main():
         normalize_columns=True,
     )
     data, _ = datagen.generate(spec)
-    data = ingest.unit_columns(data)
 
     print(f"{'lam':>8} {'max |z_i - z_j|':>16} {'max lhs/rhs':>12} {'bound holds':>12}")
     for lam in (0.01, 0.1, 1.0, 10.0):

@@ -1,8 +1,8 @@
 """Command-line front end for reproducible segmentation runs.
 
 Subcommands map to the moving parts: ``synth`` generates data, ``solve``
-emits a coefficient matrix, ``segment`` runs the full pipeline, ``check``
-machine-verifies the structural claims, ``bench`` times the solvers.
+emits a coefficient matrix, ``segment`` runs the full pipeline and ``check``
+machine-verifies the structural claims.
 
 Every option is one ``RunConfig`` field: its flag (``--pca-dim``), its
 environment variable (``LSRSEG_PCA_DIM``), its --config key, its parser
@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 import time
 import types
@@ -63,8 +62,7 @@ class ConfigError(ValueError):
 def _option(default, *commands: str, choices: tuple | None = None, minimum: int | None = None):
     """A RunConfig field that is also an option of ``commands``: a flag, an
     LSRSEG_* environment variable and a --config key, all read with the cast
-    of its annotation and held to ``choices`` and to ``minimum`` (every
-    element of a tuple)."""
+    of its annotation and held to ``choices`` and to ``minimum``."""
     metadata = {"commands": commands, "choices": choices, "minimum": minimum}
     return field(default=default, metadata=metadata)
 
@@ -75,16 +73,16 @@ class RunConfig:
 
     command: str
     input: str | None = _option(None, "solve", "segment")
-    output: str | None = _option(None, "synth", "solve", "segment", "check", "bench")
+    output: str | None = _option(None, "synth", "solve", "segment", "check")
     solver: str = _option("lsr1", "solve", "segment", choices=SOLVER_NAMES)
-    lam: float = _option(1e-2, "solve", "segment", "bench")
+    lam: float = _option(1e-2, "solve", "segment")
     k: int | None = _option(None, "segment", minimum=1)
     pca_dim: int | None = _option(None, "solve", "segment", minimum=1)
-    seed: int = _option(0, "synth", "segment", "check", "bench", minimum=0)
+    seed: int = _option(0, "synth", "segment", "check", minimum=0)
     restarts: int = _option(20, "segment", minimum=1)
     normalize_columns: bool = _option(False, "synth", "solve", "segment")
     preset: str | None = _option(None, "solve", "segment", choices=tuple(sorted(PRESETS)))
-    ambient_dim: int | None = _option(None, "synth", "bench", minimum=1)
+    ambient_dim: int | None = _option(None, "synth", minimum=1)
     dims: tuple[int, ...] | None = _option(None, "synth")
     samples: tuple[int, ...] | None = _option(None, "synth")
     mode: str = _option(
@@ -95,8 +93,6 @@ class RunConfig:
     spec_file: str | None = _option(None, "synth")
     trials: int = _option(200, "check", minimum=1)
     ebd_criterion: str | None = _option(None, "check", choices=tuple(metrics.EBD_TABLE))
-    sizes: tuple[int, ...] = _option((100, 200, 400), "bench", minimum=1)
-    reps: int = _option(5, "bench", minimum=1)
 
     def __post_init__(self):
         for f in fields(self):
@@ -106,8 +102,7 @@ class RunConfig:
             choices, minimum = f.metadata.get("choices"), f.metadata.get("minimum")
             if choices and value not in choices:
                 raise ConfigError(f"{f.name} must be one of {choices}, got {value!r}")
-            values = value if isinstance(value, tuple) else (value,)
-            if minimum is not None and any(v < minimum for v in values):
+            if minimum is not None and value < minimum:
                 raise ConfigError(f"{f.name} must be >= {minimum}, got {value!r}")
         if not np.isfinite(self.lam):
             raise ConfigError(f"lambda must be finite, got {self.lam}")
@@ -412,40 +407,6 @@ def cmd_check(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    """time the solvers over a size grid"""
-    timed = {
-        "lsr1": lambda x: solvers.lsr1(x, cfg.lam),
-        "lsr2": lambda x: solvers.lsr2(x, cfg.lam),
-        "column_oracle_ridge": lambda x: solvers.column_oracle_ridge(x, cfg.lam),
-    }
-    d = cfg.ambient_dim or 12
-    rows = []
-    for n in cfg.sizes:
-        rng = np.random.default_rng([cfg.seed, n])
-        x = rng.standard_normal((d, n))
-        medians = {}
-        for name, run in timed.items():
-            samples = []
-            for _ in range(cfg.reps):
-                t0 = time.perf_counter()
-                run(x)
-                samples.append(time.perf_counter() - t0)
-            medians[name] = statistics.median(samples)
-        rows.append((n, medians))
-
-    lines = ["n,solver,median_seconds"]
-    for n, medians in rows:
-        for name, seconds in medians.items():
-            lines.append(f"{n},{name},{seconds:.6f}")
-    table = "\n".join(lines) + "\n"
-    if cfg.output:
-        ingest.atomic_write_text(cfg.output, table)
-        _write_json(str(cfg.output) + ".meta.json", _payload(cfg))
-    print(table, end="")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # Parser / entry point
 # ---------------------------------------------------------------------------
@@ -455,7 +416,6 @@ DISPATCH = {
     "solve": cmd_solve,
     "segment": cmd_segment,
     "check": cmd_check,
-    "bench": cmd_bench,
 }
 
 

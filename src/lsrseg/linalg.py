@@ -109,9 +109,9 @@ def sym_eigen(a, count: int | None = None) -> SymEigen:
     return SymEigen(values, vectors)
 
 
-def pseudo_inverse(a, tol: float = SV_CUTOFF) -> np.ndarray:
-    """Moore-Penrose pseudoinverse; singular values below tol*sigma_max are dropped."""
-    return np.linalg.pinv(as_matrix(a), rcond=tol)
+def pseudo_inverse(a) -> np.ndarray:
+    """Moore-Penrose pseudoinverse; singular values below SV_CUTOFF*sigma_max are dropped."""
+    return np.linalg.pinv(as_matrix(a), rcond=SV_CUTOFF)
 
 
 def singular_values(a) -> np.ndarray:
@@ -119,9 +119,9 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(as_matrix(a), compute_uv=False)
 
 
-def matrix_rank(a, tol: float = SV_CUTOFF) -> int:
-    """Numeric rank: number of singular values above tol*sigma_max."""
+def matrix_rank(a) -> int:
+    """Numeric rank: number of singular values above SV_CUTOFF*sigma_max."""
     s = singular_values(a)
     if s[0] <= 0.0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > SV_CUTOFF * s[0]))

@@ -59,14 +59,15 @@ class EBDCheckResult:
     trials: int
     permutation_invariance_pass: bool
     diagonal_dominance_pass: bool
-    additivity_pass: bool | None
+    additivity_pass: bool
     counterexamples: dict[str, dict] = field(default_factory=dict)
 
-    def passes(self, require_additivity: bool = True) -> bool:
-        ok = self.permutation_invariance_pass and self.diagonal_dominance_pass
-        if require_additivity and self.additivity_pass is not None:
-            ok = ok and self.additivity_pass
-        return ok
+    def passes(self) -> bool:
+        return (
+            self.permutation_invariance_pass
+            and self.diagonal_dominance_pass
+            and self.additivity_pass
+        )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -82,8 +83,8 @@ class GroupingEffectSummary:
     min_slack: float
     n_checked: int
 
-    def bound_holds(self, tol: float = GROUPING_SLACK_TOL) -> bool:
-        return self.min_slack >= -tol
+    def bound_holds(self) -> bool:
+        return self.min_slack >= -GROUPING_SLACK_TOL
 
 
 def _labels_array(labels) -> np.ndarray:
@@ -220,7 +221,6 @@ def check_ebd(
     seed: int = 0,
     nonnegative: bool = False,
     name: str | None = None,
-    check_additivity: bool = True,
 ) -> EBDCheckResult:
     """Numerically test the three enforced-block-diagonal conditions on f.
 
@@ -269,7 +269,7 @@ def check_ebd(
                 counterexamples["dominance"] = _ebd_witness(
                     trial, full, f_z=fz, f_zd=fzd
                 )
-        if check_additivity and add_ok:
+        if add_ok:
             fa, fd = f(a), f(d)
             if abs(fzd - (fa + fd)) > 1e-9 * (1.0 + abs(fzd)):
                 add_ok = False
@@ -282,7 +282,7 @@ def check_ebd(
         trials=trials,
         permutation_invariance_pass=perm_ok,
         diagonal_dominance_pass=dom_ok,
-        additivity_pass=add_ok if check_additivity else None,
+        additivity_pass=add_ok,
         counterexamples=counterexamples,
     )
 

@@ -125,37 +125,36 @@ def _zero_diag_rescale(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def lsr_constrained(
-    x,
-    zero_diag: bool = True,
-    tol: float = FEASIBILITY_TOL,
-    sv_tol: float = linalg.SV_CUTOFF,
-) -> Coefficients:
+def lsr_constrained(x, zero_diag: bool = True, tol: float = FEASIBILITY_TOL) -> Coefficients:
     """Minimum-Frobenius-norm solution of X = XZ, in closed form.
 
     With ``zero_diag`` it is Z = -Q diag(Q)^{-1} with a zeroed diagonal,
     where Q = N N^T projects onto null(X); without, the shape-interaction
     matrix V_r V_r^T. N and V_r are the trailing and leading right singular
-    vectors of one SVD, split at the singular values above ``sv_tol`` times
-    the largest. N N^T is used rather than I - V_r V_r^T, whose cancellation
-    loses accuracy on near-singular data.
+    vectors of one SVD, split at the singular values above
+    ``linalg.SV_CUTOFF`` times the largest. N N^T is used rather than
+    I - V_r V_r^T, whose cancellation loses accuracy on near-singular data.
 
     A nonzero column the closed form does not fit to a relative residual of
     ``tol`` (one only approximately in the span of the others) is refit on
     its own as the minimum-norm least-squares solution over its dictionary,
     which drops the column itself when ``zero_diag``. InfeasibleColumn is
     raised for the first column whose refit residual still exceeds ``tol``,
-    which happens under insufficient sampling.
+    which happens under insufficient sampling. X = XZ is homogeneous, so
+    the gate and the refits read X scaled by the power of two that puts its
+    largest singular value in [0.5, 1): exact in floating point, and no
+    column norm over- or underflows at any data scale.
     """
     mat = data_array(x)
     n = mat.shape[1]
     _, s, vt = np.linalg.svd(mat, full_matrices=True)
-    rank = int(np.count_nonzero(s > sv_tol * s[0])) if s[0] > 0 else 0
+    rank = int(np.count_nonzero(s > linalg.SV_CUTOFF * s[0])) if s[0] > 0 else 0
     basis = vt[rank:] if zero_diag else vt[:rank]
     z = basis.T @ basis
     del vt, basis  # release the n x n singular vectors before the gate
     if zero_diag:
         z = _zero_diag_rescale(z)
+    mat = np.ldexp(mat, -np.frexp(s[0])[1])
     norms = np.linalg.norm(mat, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         residuals = np.linalg.norm(mat @ z - mat, axis=0) / norms
@@ -165,7 +164,7 @@ def lsr_constrained(
         dictionary = mat[:, keep]
         zi = np.zeros(0)  # a lone column has an empty dictionary
         if dictionary.shape[1]:
-            zi = linalg.pseudo_inverse(dictionary, tol=sv_tol) @ xi
+            zi = linalg.pseudo_inverse(dictionary) @ xi
         residual = float(np.linalg.norm(dictionary @ zi - xi))
         residual /= float(np.linalg.norm(xi))
         if residual > tol:
@@ -174,14 +173,19 @@ def lsr_constrained(
     return Coefficients(z, 0.0, CONSTRAINED, zero_diag)
 
 
-def _ridge_inverse(x, lam: float) -> np.ndarray:
-    """P = (X^T X + lam*I)^{-1}, the one n x n inverse both ridge forms share."""
-    mat = data_array(x)
-    n = mat.shape[1]
+def _gram(mat: np.ndarray) -> np.ndarray:
+    """X^T X, or NonFiniteMatrix naming the overflow when it leaves float64."""
     with np.errstate(over="ignore", invalid="ignore"):
         gram = mat.T @ mat
     if not np.isfinite(gram).all():
         raise linalg.NonFiniteMatrix("Gram matrix X^T X overflows float64; rescale the data")
+    return gram
+
+
+def _ridge_inverse(x, lam: float) -> np.ndarray:
+    """P = (X^T X + lam*I)^{-1}, the one n x n inverse both ridge forms share."""
+    gram = _gram(data_array(x))
+    n = gram.shape[0]
     gram.flat[:: n + 1] += lam
     return linalg.solve_spd(gram, np.eye(n))
 
@@ -214,24 +218,21 @@ def column_oracle_ridge(x, lam: float, zero_diag: bool = True) -> Coefficients:
     oracle for ``lsr1`` (zero_diag=True) and ``lsr2`` (zero_diag=False).
     """
     lam = _check_lambda(lam)
-    mat = data_array(x)
-    n = mat.shape[1]
+    gram = _gram(data_array(x))
+    n = gram.shape[0]
     z = np.zeros((n, n))
     for i in range(n):
-        xi = mat[:, i]
         if zero_diag:
             if n == 1:
                 continue
             keep = np.arange(n) != i
-            dictionary = mat[:, keep]
         else:
             keep = np.ones(n, dtype=bool)
-            dictionary = mat
-        m = dictionary.shape[1]
-        zi = linalg.solve_spd(
-            dictionary.T @ dictionary + lam * np.eye(m), dictionary.T @ xi
+        m = int(keep.sum())
+        # the column's own normal equations over its dictionary's Gram block
+        z[keep, i] = linalg.solve_spd(
+            gram[np.ix_(keep, keep)] + lam * np.eye(m), gram[keep, i]
         )
-        z[keep, i] = zi
     return Coefficients(z, lam, LSR1 if zero_diag else LSR2, zero_diag)
 
 

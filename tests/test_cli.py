@@ -1,12 +1,16 @@
 import dataclasses
 import json
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
 from lsrseg import cli, ingest, solvers
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(*args):
@@ -288,26 +292,6 @@ class TestCheck:
         assert np.max(np.abs(solvers.lsr1(x, lam).z - oracle)) <= 1e-8
 
 
-class TestBench:
-    def test_table_shape_and_dominance(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        assert run("bench", "--sizes", "60,120", "--ambient-dim", 8,
-                   "--reps", 2, "--lambda", 0.05, "--output", out) == cli.EXIT_OK
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "n,solver,median_seconds"
-        assert len(lines) == 1 + 2 * 3
-        rows = [line.split(",") for line in lines[1:]]
-        times = {(int(n), s): float(t) for n, s, t in rows}
-        assert times[(120, "lsr1")] < times[(120, "column_oracle_ridge")]
-
-    def test_same_seed_same_solver_output(self):
-        rng_a = np.random.default_rng([7, 50])
-        rng_b = np.random.default_rng([7, 50])
-        xa = rng_a.standard_normal((8, 50))
-        xb = rng_b.standard_normal((8, 50))
-        assert np.array_equal(solvers.lsr1(xa, 0.01).z, solvers.lsr1(xb, 0.01).z)
-
-
 class TestEnvOverrides:
     def test_lambda_env(self, dataset, tmp_path, monkeypatch):
         monkeypatch.setenv("LSRSEG_LAMBDA", "0.25")
@@ -349,7 +333,6 @@ SUBCOMMAND_FLAGS = {
     "segment": {"--input", "--output", "--solver", "--lambda", "--k", "--pca-dim",
                 "--seed", "--restarts", "--normalize-columns", "--preset"},
     "check": {"--output", "--seed", "--trials", "--ebd-criterion"},
-    "bench": {"--output", "--lambda", "--seed", "--ambient-dim", "--sizes", "--reps"},
 }
 
 # field -> (text of its flag, LSRSEG_* variable or config value, resolved
@@ -374,9 +357,17 @@ ENV_SAMPLES = {
     "spec_file": ("spec.json", "spec.json"),
     "trials": ("12", 12),
     "ebd_criterion": ("nuclear", "nuclear"),
-    "sizes": ("10,20", (10, 20)),
-    "reps": ("2", 2),
 }
+
+
+def parser_flags():
+    """subcommand -> the flags its parser takes, besides --help and --config"""
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    return {
+        name: {flag for action in parser._actions for flag in action.option_strings}
+        - {"-h", "--help", "--config"}
+        for name, parser in sub.choices.items()
+    }
 
 
 def resolve(*argv):
@@ -395,19 +386,27 @@ def write_config(tmp_path, stored):
 
 class TestOptionLayer:
     def test_subcommand_flag_sets(self):
-        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
-        flags = {
-            name: {flag for action in parser._actions for flag in action.option_strings}
-            - {"-h", "--help", "--config"}
-            for name, parser in sub.choices.items()
-        }
+        flags = parser_flags()
         assert flags == SUBCOMMAND_FLAGS
-        assert sum(map(len, flags.values())) == 37
+        assert sum(map(len, flags.values())) == 31
+
+    def test_readme_flag_table_matches_parser(self):
+        # README's `| subcommand | flags |` table lists each subcommand's
+        # flags; `--config` is described beside it, not in it.
+        lines = README.read_text().splitlines()
+        start = lines.index("| subcommand | flags |") + 2
+        table = {}
+        for line in lines[start:]:
+            row = re.fullmatch(r"\| `(\w+)` \| (.*) \|", line)
+            if row is None:
+                break
+            table[row[1]] = set(re.findall(r"--[a-z][a-z-]*", row[2]))
+        assert table == parser_flags()
 
     def test_every_option_has_an_env_sample(self):
         names = [f.name for f in dataclasses.fields(cli.RunConfig) if f.name != "command"]
         assert sorted(ENV_SAMPLES) == sorted(names)
-        assert len(names) + 1 == 22
+        assert len(names) + 1 == 20
 
     @pytest.mark.parametrize("name", sorted(ENV_SAMPLES))
     def test_env_reaches_config_with_field_type(self, name, monkeypatch, tmp_path):
@@ -481,19 +480,18 @@ class TestOptionLayer:
 
     @pytest.mark.parametrize("command, name, text", [
         ("segment", "pca_dim", "0"), ("solve", "pca_dim", "0"),
-        ("bench", "sizes", "0"), ("bench", "sizes", "10,0"),
-        ("check", "trials", "0"), ("bench", "ambient_dim", "0"),
+        ("check", "trials", "0"), ("synth", "ambient_dim", "0"),
         ("segment", "k", "0"), ("segment", "restarts", "0"),
-        ("check", "seed", "-1"), ("bench", "reps", "0"),
-        ("segment", "lam", "inf"),
+        ("check", "seed", "-1"), ("segment", "lam", "inf"),
     ])
     def test_out_of_range_is_config_error(self, command, name, text, monkeypatch,
                                           tmp_path):
-        # segment and solve would exit 1 without the bad value (no such
-        # input); bench and check would run.
+        # segment, solve and synth would exit 1 without the bad value (no
+        # such input); check would run.
         args = {
             "segment": ["--input", tmp_path / "absent.csv"],
             "solve": ["--input", tmp_path / "absent.csv", "--output", tmp_path / "z.csv"],
+            "synth": ["--spec-file", tmp_path / "absent.json", "--output", tmp_path / "d.csv"],
         }.get(command, [])
         assert run(command, *args, cli._flag(name), text) == cli.EXIT_CONFIG
         path = write_config(tmp_path, {name: text})
@@ -515,6 +513,16 @@ class TestOptionLayer:
             "tol_feasibility": 1e-6, "tol_sv": 1e-9,
         })
         assert run("segment", "--config", path) == cli.EXIT_OK
+
+    def test_bench_is_retired(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("bench")
+        assert exc.value.code == cli.EXIT_CONFIG
+        with pytest.raises(SystemExit):
+            run("--help")
+        usage = capsys.readouterr().out.splitlines()[0]
+        assert usage.endswith("{synth,solve,segment,check} ...")
+        assert set(parser_flags()) == {"synth", "solve", "segment", "check"}
 
     def test_flag_of_another_subcommand_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

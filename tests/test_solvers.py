@@ -1,10 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsrseg import datagen, metrics, solvers
+from lsrseg import datagen, linalg, metrics, solvers
 
 # Two orthogonal lines in the plane, two samples each (at 1x and 2x the
 # direction vector). Small enough to solve by hand.
@@ -68,6 +70,18 @@ class TestLsrConstrained:
             solvers.lsr_constrained(x)
         assert err.value.index == 0
         assert err.value.residual == pytest.approx(1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_feasibility_gate_at_extreme_scales(self, scale):
+        # X = XZ is homogeneous, so scaling the data changes no answer,
+        # though the squared column norms under- or overflow float64 at
+        # 1e-200 and 1e200.
+        with pytest.raises(solvers.InfeasibleColumn) as err:
+            solvers.lsr_constrained(scale * np.eye(3))
+        assert (err.value.index, err.value.residual) == (0, 1.0)
+        z = solvers.lsr_constrained(scale * TWO_LINES_X).z
+        assert np.allclose(z, solvers.lsr_constrained(TWO_LINES_X).z, rtol=0.0, atol=1e-15)
 
     def test_no_diag_constraint_keeps_full_dictionary(self):
         coeffs = solvers.lsr_constrained(np.eye(3), zero_diag=False)
@@ -286,6 +300,30 @@ LAMBDA_SOLVERS = {
     "column_oracle_ridge": lambda lam: solvers.column_oracle_ridge(np.eye(3), lam),
     "grouping_bound_report": lambda lam: solvers.grouping_bound_report(np.eye(3), np.ones(3), lam),
 }
+
+
+class TestGramOverflow:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("solver", ["lsr1", "lsr2", "column_oracle_ridge"])
+    def test_overflow_is_named(self, solver):
+        # finite entries ~1e200 overflow X^T X to inf
+        x = 1e200 * np.random.default_rng(0).uniform(1.0, 2.0, (4, 8))
+        with pytest.raises(linalg.NonFiniteMatrix, match=r"Gram matrix X\^T X overflows"):
+            getattr(solvers, solver)(x, 0.1)
+
+
+# keyword knobs that no caller set to anything but their default, now
+# constants (linalg.SV_CUTOFF, always checking additivity, GROUPING_SLACK_TOL)
+@pytest.mark.parametrize("function, parameter", [
+    (solvers.lsr_constrained, "sv_tol"),
+    (linalg.pseudo_inverse, "tol"),
+    (linalg.matrix_rank, "tol"),
+    (metrics.check_ebd, "check_additivity"),
+    (metrics.EBDCheckResult.passes, "require_additivity"),
+    (metrics.GroupingEffectSummary.bound_holds, "tol"),
+])
+def test_retired_keyword_is_gone(function, parameter):
+    assert parameter not in inspect.signature(function).parameters
 
 
 class TestLambdaValidation:
