@@ -116,7 +116,7 @@ class RunConfig:
 def _parse_int_list(value) -> tuple[int, ...]:
     parts = value if isinstance(value, list) else value.split(",")
     try:
-        return tuple(int(str(part)) for part in parts if str(part).strip())
+        return tuple(int(str(part)) for part in parts)
     except ValueError:
         raise ConfigError(f"expected a comma-separated integer list, got {value!r}")
 
@@ -445,6 +445,7 @@ _NUMERIC_ERRORS = (
     linalg.ConvergenceFailure,
     solvers.NonPositiveLambda,
     solvers.InfeasibleColumn,
+    solvers.LambdaTooSmall,
     solvers.UnnormalizedColumn,
     ingest.DimensionError,
     metrics.LengthMismatch,

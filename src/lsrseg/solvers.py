@@ -12,6 +12,10 @@ column as a combination of the others:
   closed form Z = (X^T X + lam*I)^{-1} X^T X = I - lam*P, with the same P.
 * ``column_oracle_ridge``  the slow reference: one independent SPD solve per
   column, used to cross-check the closed forms.
+
+For d < n both ridge forms come from one d x d solve instead of P: with
+Y = (X X^T + lam*I_d)^{-1} X, the Woodbury identity gives lam*P = I - X^T Y,
+so ``lsr2`` is X^T Y and ``lsr1`` rescales I - X^T Y (the 1/lam cancels).
 """
 
 from __future__ import annotations
@@ -29,6 +33,9 @@ LSR2 = "lsr2"
 
 FEASIBILITY_TOL = 1e-8
 UNIT_NORM_TOL = 1e-10
+# A d < n ridge solve is returned only if every divisor 1 - x_i^T y_i of
+# lsr1 exceeds this many times its estimated rounding error.
+ROUNDING_MARGIN = 1e6
 
 
 class NonPositiveLambda(ValueError):
@@ -43,6 +50,19 @@ class InfeasibleColumn(ValueError):
         self.residual = residual
         super().__init__(
             f"column {index} is not representable: relative residual {residual:.3e}"
+        )
+
+
+class LambdaTooSmall(ValueError):
+    """Rounding error swamps a ridge divisor 1 - x_i^T y_i = lam*P[i, i]."""
+
+    def __init__(self, index: int, divisor: float, rounding: float):
+        self.index = index
+        self.divisor = divisor
+        self.rounding = rounding
+        super().__init__(
+            f"column {index}: 1 - x_i^T y_i = {divisor:.3e} is within "
+            f"{ROUNDING_MARGIN:g}x of its rounding error {rounding:.3e}; lambda is too small"
         )
 
 
@@ -173,42 +193,77 @@ def lsr_constrained(x, zero_diag: bool = True, tol: float = FEASIBILITY_TOL) -> 
     return Coefficients(z, 0.0, CONSTRAINED, zero_diag)
 
 
-def _gram(mat: np.ndarray) -> np.ndarray:
-    """X^T X, or NonFiniteMatrix naming the overflow when it leaves float64."""
+def _gram(a: np.ndarray, name: str) -> np.ndarray:
+    """a^T a, or NonFiniteMatrix naming the Gram matrix when it leaves float64."""
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = mat.T @ mat
+        gram = a.T @ a
     if not np.isfinite(gram).all():
-        raise linalg.NonFiniteMatrix("Gram matrix X^T X overflows float64; rescale the data")
+        raise linalg.NonFiniteMatrix(f"Gram matrix {name} overflows float64; rescale the data")
     return gram
 
 
-def _ridge_inverse(x, lam: float) -> np.ndarray:
-    """P = (X^T X + lam*I)^{-1}, the one n x n inverse both ridge forms share."""
-    gram = _gram(data_array(x))
-    n = gram.shape[0]
+def _ridge_inverse(x, lam: float) -> tuple[np.ndarray, bool]:
+    """The one n x n matrix both ridge forms derive from, and whether d < n.
+
+    For d < n it is X^T Y with Y = (X X^T + lam*I_d)^{-1} X, from one d x d
+    Cholesky solve, so that lam*P = I - X^T Y; otherwise it is
+    P = (X^T X + lam*I)^{-1} itself, from an n x n Cholesky solve.
+
+    The d x d form yields lsr1's divisors lam*P[i, i] = 1 - x_i^T y_i by
+    subtraction. To first order the solve perturbs x_i^T y_i by at most
+    eps * ||X X^T + lam*I|| * ||y_i||^2, so where a column's leverage
+    x_i^T y_i is one to within ROUNDING_MARGIN times that, LambdaTooSmall
+    is raised rather than returning a Z that rounding decides.
+    """
+    mat = data_array(x)
+    d, n = mat.shape
+    if d < n:
+        outer = _gram(mat.T, "X X^T")
+        outer.flat[:: d + 1] += lam
+        y = linalg.solve_spd(outer, mat)
+        rounding = np.finfo(np.float64).eps * np.linalg.norm(outer)
+        rounding *= np.einsum("ij,ij->j", y, y)
+        m = mat.T @ y
+        divisors = 1.0 - np.diag(m)
+        unresolved = np.nonzero(~(divisors > ROUNDING_MARGIN * rounding))[0]
+        if unresolved.size:
+            i = unresolved[0]
+            raise LambdaTooSmall(int(i), float(divisors[i]), float(rounding[i]))
+        return m, True
+    gram = _gram(mat, "X^T X")
     gram.flat[:: n + 1] += lam
-    return linalg.solve_spd(gram, np.eye(n))
+    return linalg.solve_spd(gram, np.eye(n)), False
+
+
+def _identity_minus(m: np.ndarray, scale: float) -> np.ndarray:
+    """I - scale*M, in place of M."""
+    m *= -scale
+    m.flat[:: m.shape[0] + 1] += 1.0
+    return m
 
 
 def lsr1(x, lam: float) -> Coefficients:
     """Closed-form diag-constrained ridge representation.
 
-    Computes P = (X^T X + lam*I)^{-1} once and rescales its columns,
+    Rescales the columns of lam*P = I - X^T Y (d < n) or of P,
     Z[:, i] = -P[:, i] / P[i, i] with a zero diagonal, instead of solving
     one reduced ridge system per column.
     """
     lam = _check_lambda(lam)
-    return Coefficients(_zero_diag_rescale(_ridge_inverse(x, lam)), lam, LSR1, True)
+    m, thin = _ridge_inverse(x, lam)
+    if thin:
+        m = _identity_minus(m, 1.0)
+    return Coefficients(_zero_diag_rescale(m), lam, LSR1, True)
 
 
 def lsr2(x, lam: float) -> Coefficients:
-    """Closed-form unconstrained ridge representation (X^T X + lam*I)^{-1} X^T X,
-    formed in place as I - lam*P from the inverse P that ``lsr1`` rescales."""
+    """Closed-form unconstrained ridge representation (X^T X + lam*I)^{-1} X^T X:
+    X^T Y itself when d < n, else formed in place as I - lam*P."""
     lam = _check_lambda(lam)
-    z = _ridge_inverse(x, lam)
-    z *= -lam
-    z.flat[:: z.shape[0] + 1] += 1.0
-    return Coefficients(z, lam, LSR2, False)
+    m, thin = _ridge_inverse(x, lam)
+    if not thin:
+        m = _identity_minus(m, lam)
+    return Coefficients(m, lam, LSR2, False)
 
 
 def column_oracle_ridge(x, lam: float, zero_diag: bool = True) -> Coefficients:
@@ -218,7 +273,7 @@ def column_oracle_ridge(x, lam: float, zero_diag: bool = True) -> Coefficients:
     oracle for ``lsr1`` (zero_diag=True) and ``lsr2`` (zero_diag=False).
     """
     lam = _check_lambda(lam)
-    gram = _gram(data_array(x))
+    gram = _gram(data_array(x), "X^T X")
     n = gram.shape[0]
     z = np.zeros((n, n))
     for i in range(n):

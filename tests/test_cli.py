@@ -215,13 +215,26 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_gram_matrix_is_numeric_error(self, tmp_path, capsys):
-        # finite entries ~1e200 overflow X^T X to inf inside the solve
+        # finite entries ~1e200 overflow the Gram matrix X X^T to inf inside the solve
         path = tmp_path / "huge.csv"
         rng = np.random.default_rng(0)
         ingest.write_csv(1e200 * rng.uniform(1.0, 2.0, (4, 8)), path)
         assert run("segment", "--input", path, "--k", 2) == cli.EXIT_NUMERIC
         err = capsys.readouterr().err
         assert "Gram matrix" in err and "overflows" in err
+
+    @pytest.mark.parametrize("solver", ["lsr1", "lsr2"])
+    def test_lambda_below_rounding_is_numeric_error(self, solver, tmp_path, capsys):
+        # sample 0 is orthogonal to the others: at lam = 1e-17 rounding
+        # decides 1 - x_0^T y_0, so no coefficients are written
+        path = tmp_path / "lever.csv"
+        ingest.write_csv(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.6, 0.8],
+                                   [0.0, 0.0, 0.8, 0.6]]), path)
+        out = tmp_path / "z.csv"
+        assert run("solve", "--input", path, "--output", out, "--solver", solver,
+                   "--lambda", 1e-17) == cli.EXIT_NUMERIC
+        assert "column 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_lanczos_no_convergence_is_numeric_error(self, tmp_path, monkeypatch, capsys):
         def no_convergence(a, k, **kwargs):
@@ -440,7 +453,7 @@ class TestOptionLayer:
 
     @pytest.mark.parametrize("stored", [
         {"lam": "zero"}, {"lam": [0.1]}, {"k": "2.5"}, {"k": 2.5}, {"seed": True},
-        {"dims": [2.5, 2]}, [],
+        {"dims": [2.5, 2]}, [], {"dims": [1, "", 1]},
     ])
     def test_bad_config_file_value_is_config_error(self, stored, tmp_path):
         # Run under a subcommand that takes the option. Without the bad
@@ -452,6 +465,24 @@ class TestOptionLayer:
             args = ["segment", "--input", tmp_path / "absent.csv"]
         path = write_config(tmp_path, stored)
         assert run(*args, "--config", path) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("name, text", [
+        ("dims", "1,,1"), ("samples", "3,3,"), ("dims", "1, ,1"),
+    ])
+    def test_empty_list_item_is_config_error(self, name, text, monkeypatch, tmp_path):
+        # Dropping the empty item would run synth on a shorter tuple, exit 0.
+        lists = {"dims": "1,1", "samples": "3,3"}
+        args = ["synth", "--output", tmp_path / "d.csv", "--ambient-dim", 6]
+        for other, value in lists.items():
+            if other != name:
+                args += [cli._flag(other), value]
+        with pytest.raises(SystemExit) as exc:
+            run(*args, cli._flag(name), text)
+        assert exc.value.code == cli.EXIT_CONFIG
+        path = write_config(tmp_path, {name: text})
+        assert run(*args, "--config", path) == cli.EXIT_CONFIG
+        monkeypatch.setenv(env_name(name), text)
+        assert run(*args) == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize("text", ["ture", "", "2"])
     def test_bad_bool_env_is_config_error(self, text, monkeypatch, tmp_path):

@@ -119,6 +119,20 @@ class TestBlockDiagViolation:
         permuted = metrics.block_diag_violation(z[np.ix_(perm, perm)], labels[perm])
         assert permuted == pytest.approx(original, abs=1e-12)
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), k=st.integers(1, 6))
+    def test_equals_masked_sum_on_unsorted_labels(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, n))
+        labels = rng.integers(0, k, size=n)
+        magnitude = np.abs(z)
+        cross = labels[:, np.newaxis] != labels[np.newaxis, :]
+        expected = magnitude[cross].sum() / magnitude.sum()
+        assert metrics.block_diag_violation(z, labels) == pytest.approx(expected, abs=1e-12)
+        # zeroing the cross-label entries leaves exactly nothing to count
+        z[cross] = 0.0
+        assert metrics.block_diag_violation(z, labels) == 0.0
+
 
 class TestEbdConditions:
     def test_l1_passes_all(self):

@@ -3,6 +3,7 @@ import inspect
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,38 @@ MIXING_FEASIBLE_Z = np.array(
 def random_unit_columns(rng, d, n):
     x = rng.standard_normal((d, n))
     return x / np.linalg.norm(x, axis=0)
+
+
+def near_duplicate_columns():
+    """Seven unit columns in R^6, each with a near-duplicate 1e-5 away: X^T X
+    + lam*I has condition ~1/lam."""
+    rng = np.random.default_rng(0)
+    base = rng.standard_normal((6, 7))
+    x = np.hstack([base, base + 1e-5 * rng.standard_normal((6, 7))])
+    return x / np.linalg.norm(x, axis=0)
+
+
+def ridge_reference(x, lam):
+    """lsr1's and lsr2's Z for data x, from P = (X^T X + lam*I)^{-1} at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    n = x.shape[1]
+    with mpmath.workdps(50):
+        m = mpmath.matrix(x.tolist())
+        gram = m.T * m
+        p = (gram + mpmath.mpf(lam) * mpmath.eye(n)) ** -1
+        lsr1 = [[0.0 if i == j else float(-p[i, j] / p[j, j]) for j in range(n)]
+                for i in range(n)]
+        lsr2 = (p * gram).tolist()
+    return np.array(lsr1), np.array(lsr2, dtype=float)
+
+
+def relative_gap(z, reference):
+    return np.max(np.abs(z - reference)) / np.max(np.abs(reference))
+
+
+# Column 0 is orthogonal to the other three, which span a plane: its leverage
+# tends to one as lam -> 0, and 1 - x_0^T y_0 ~ lam is left to rounding.
+LEVERAGE_ONE_X = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.6, 0.8], [0.0, 0.0, 0.8, 0.6]])
 
 
 class TestLsrConstrained:
@@ -209,6 +242,14 @@ class TestLsr1:
         assert np.all(np.diag(coeffs.z) == 0.0)
         assert coeffs.diag_constrained
 
+    @pytest.mark.parametrize("lam, bound", [(1e-8, 1e-14), (1e-4, 1e-14), (1e-1, 1e-15)])
+    def test_matches_50_digit_reference_on_near_duplicate_columns(self, lam, bound):
+        # X X^T + lam*I is well conditioned here, while X^T X + lam*I has
+        # condition ~1/lam: bounds near eps hold only for the d x d solve.
+        x = near_duplicate_columns()
+        reference, _ = ridge_reference(x, lam)
+        assert relative_gap(solvers.lsr1(x, lam).z, reference) <= bound
+
 
 class TestLsr2:
     def test_identity_data(self):
@@ -260,23 +301,52 @@ class TestLsr2:
         )
         assert np.max(gap) <= 1e-10
 
-    @pytest.mark.parametrize("lam, bound", [(1e-8, 1e-7), (1e-4, 1e-11), (1e-1, 1e-13)])
-    def test_matches_50_digit_reference_on_near_duplicate_columns(self, lam, bound):
-        # Seven unit columns in R^6, each with a near-duplicate 1e-5 away:
-        # X^T X + lam*I has condition ~1/lam, and I - lam*P must still
-        # track (X^T X + lam*I)^{-1} X^T X to about eps/lam.
-        mpmath = pytest.importorskip("mpmath")
-        rng = np.random.default_rng(0)
-        base = rng.standard_normal((6, 7))
-        x = np.hstack([base, base + 1e-5 * rng.standard_normal((6, 7))])
-        x /= np.linalg.norm(x, axis=0)
-        with mpmath.workdps(50):
-            m = mpmath.matrix(x.tolist())
-            gram = m.T * m
-            exact = (gram + mpmath.mpf(lam) * mpmath.eye(14)) ** -1 * gram
-            reference = np.array(exact.tolist(), dtype=float)
-        z = solvers.lsr2(x, lam).z
-        assert np.max(np.abs(z - reference)) <= bound * np.max(np.abs(reference))
+    @pytest.mark.parametrize("lam", [1e-8, 1e-4, 1e-1])
+    def test_matches_50_digit_reference_on_near_duplicate_columns(self, lam):
+        # X^T Y is formed without subtracting from I, so no eps/lam is lost.
+        x = near_duplicate_columns()
+        _, reference = ridge_reference(x, lam)
+        assert relative_gap(solvers.lsr2(x, lam).z, reference) <= 2e-15
+
+
+class TestThinRidge:
+    """The d < n ridge forms, from one d x d solve."""
+
+    @pytest.mark.parametrize("lam", [1e-8, 1e-2])
+    def test_rank_deficient_rows_match_50_digit_reference(self, lam):
+        # d = 6 < n = 10 with row rank 3: X X^T + lam*I is as ill-conditioned
+        # as X^T X + lam*I, yet X^T Y stays accurate to a few eps.
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 10))
+        lsr1_reference, lsr2_reference = ridge_reference(x, lam)
+        assert relative_gap(solvers.lsr1(x, lam).z, lsr1_reference) <= 1e-14
+        assert relative_gap(solvers.lsr2(x, lam).z, lsr2_reference) <= 1e-14
+
+    @pytest.mark.parametrize("lam", [1e-16, 1e-17, 1e-20])
+    @pytest.mark.parametrize("solver", [0, 1], ids=["lsr1", "lsr2"])
+    def test_tiny_lambda_leverage_one_is_accurate_or_raises(self, solver, lam):
+        # Below ~eps*||X||^2 rounding decides 1 - x_0^T y_0: a solver must
+        # then raise a numeric error rather than return a wrong Z.
+        solve = (solvers.lsr1, solvers.lsr2)[solver]
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            x = scipy.stats.special_ortho_group.rvs(3, random_state=rng) @ LEVERAGE_ONE_X
+            reference = ridge_reference(x, lam)[solver]
+            try:
+                z = solve(x, lam).z
+            except (solvers.LambdaTooSmall, linalg.NotPositiveDefinite, linalg.NonFiniteMatrix):
+                continue
+            assert relative_gap(z, reference) <= 1e-8
+
+    def test_unresolved_divisor_names_its_column(self):
+        x = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.6, 0.8], [0.0, 0.0, 0.8, 0.6]])
+        with pytest.raises(solvers.LambdaTooSmall, match="column 1:") as err:
+            solvers.lsr1(x, 1e-17)
+        assert err.value.index == 1
+        assert err.value.divisor <= solvers.ROUNDING_MARGIN * err.value.rounding
+        # well above eps*||X||^2 the same column resolves, and matches
+        z = solvers.lsr1(x, 1e-4).z
+        assert relative_gap(z, ridge_reference(x, 1e-4)[0]) <= 1e-10
 
 
 class TestColumnOracle:
@@ -304,11 +374,19 @@ LAMBDA_SOLVERS = {
 
 class TestGramOverflow:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("solver", ["lsr1", "lsr2", "column_oracle_ridge"])
-    def test_overflow_is_named(self, solver):
-        # finite entries ~1e200 overflow X^T X to inf
-        x = 1e200 * np.random.default_rng(0).uniform(1.0, 2.0, (4, 8))
-        with pytest.raises(linalg.NonFiniteMatrix, match=r"Gram matrix X\^T X overflows"):
+    @pytest.mark.parametrize("solver, shape, gram", [
+        pytest.param("lsr1", (4, 8), r"X X\^T", id="lsr1-4x8"),
+        pytest.param("lsr1", (8, 4), r"X\^T X", id="lsr1-8x4"),
+        pytest.param("lsr2", (4, 8), r"X X\^T", id="lsr2-4x8"),
+        pytest.param("lsr2", (8, 4), r"X\^T X", id="lsr2-8x4"),
+        pytest.param("column_oracle_ridge", (4, 8), r"X\^T X", id="column_oracle_ridge-4x8"),
+        pytest.param("column_oracle_ridge", (8, 4), r"X\^T X", id="column_oracle_ridge-8x4"),
+    ])
+    def test_overflow_is_named(self, solver, shape, gram):
+        # finite entries ~1e200 overflow the Gram matrix the solver forms:
+        # the d x d X X^T when d < n, else the n x n X^T X
+        x = 1e200 * np.random.default_rng(0).uniform(1.0, 2.0, shape)
+        with pytest.raises(linalg.NonFiniteMatrix, match=rf"Gram matrix {gram} overflows"):
             getattr(solvers, solver)(x, 0.1)
 
 
