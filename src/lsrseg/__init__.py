@@ -9,7 +9,7 @@ of the solutions.
 __version__ = "0.1.0"
 
 from .datagen import BasisSet, DataMatrix, SubspaceSpec, generate, is_independent, is_orthogonal
-from .ingest import DatasetManifest, load_csv, pca_project, unit_columns, write_csv
+from .ingest import load_csv, pca_project, unit_columns, write_csv
 from .metrics import (
     EBDCheckResult,
     GroupingEffectSummary,
@@ -37,7 +37,6 @@ __all__ = [
     "BasisSet",
     "Coefficients",
     "DataMatrix",
-    "DatasetManifest",
     "EBDCheckResult",
     "GroupingBoundReport",
     "GroupingEffectSummary",

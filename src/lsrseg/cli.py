@@ -90,7 +90,6 @@ class RunConfig:
     )
     noise_sigma: float = _option(0.0, "synth")
     correlation: float | None = _option(None, "synth")
-    spec_file: str | None = _option(None, "synth")
     trials: int = _option(200, "check", minimum=1)
     ebd_criterion: str | None = _option(None, "check", choices=tuple(metrics.EBD_TABLE))
 
@@ -220,30 +219,22 @@ def _run_solver(cfg: RunConfig, data: datagen.DataMatrix) -> solvers.Coefficient
     return solvers.lsr2(data, cfg.lam)
 
 
-def _prepared_input(
-    cfg: RunConfig, times: dict[str, float]
-) -> tuple[datagen.DataMatrix, ingest.DatasetManifest | None]:
-    """Load --input (CSV or manifest), then unit columns and PCA as the flags,
-    else the manifest, ask; loading and PCA are timed into ``times``."""
+def _prepared_input(cfg: RunConfig, times: dict[str, float]) -> datagen.DataMatrix:
+    """Load the --input CSV, then take unit columns and PCA as the options
+    ask; loading and PCA are timed into ``times``."""
     if cfg.input is None:
         raise ConfigError("--input is required")
     t0 = time.perf_counter()
-    manifest = None
-    if str(cfg.input).endswith(".json"):
-        manifest = ingest.DatasetManifest.load(cfg.input)
-        # A relative data path is relative to the manifest, not the cwd.
-        manifest.path = str(Path(cfg.input).parent / manifest.path)
-    data = ingest.load_csv(manifest or cfg.input)
+    data = ingest.load_csv(cfg.input)
     times["load"] = time.perf_counter() - t0
 
-    if cfg.normalize_columns or (manifest and manifest.normalize_columns):
+    if cfg.normalize_columns:
         data = ingest.unit_columns(data)
-    pca_dim = cfg.pca_dim or (manifest and manifest.pca_dim)
-    if pca_dim:
+    if cfg.pca_dim:
         t0 = time.perf_counter()
-        data = ingest.pca_project(data, pca_dim)
+        data = ingest.pca_project(data, cfg.pca_dim)
         times["pca"] = time.perf_counter() - t0
-    return data, manifest
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -254,21 +245,18 @@ def cmd_synth(cfg: RunConfig) -> int:
     """generate a synthetic union-of-subspaces dataset"""
     if cfg.output is None:
         raise ConfigError("--output is required for synth")
-    if cfg.spec_file:
-        spec = datagen.SubspaceSpec.load(cfg.spec_file)
-    else:
-        if cfg.ambient_dim is None or cfg.dims is None or cfg.samples is None:
-            raise ConfigError("synth needs --spec-file or --ambient-dim/--dims/--samples")
-        spec = datagen.SubspaceSpec(
-            ambient_dim=cfg.ambient_dim,
-            subspace_dims=cfg.dims,
-            samples_per_subspace=cfg.samples,
-            mode=cfg.mode,
-            noise_sigma=cfg.noise_sigma,
-            correlation=cfg.correlation,
-            seed=cfg.seed,
-            normalize_columns=cfg.normalize_columns,
-        )
+    if cfg.ambient_dim is None or cfg.dims is None or cfg.samples is None:
+        raise ConfigError("synth needs --ambient-dim, --dims and --samples")
+    spec = datagen.SubspaceSpec(
+        ambient_dim=cfg.ambient_dim,
+        subspace_dims=cfg.dims,
+        samples_per_subspace=cfg.samples,
+        mode=cfg.mode,
+        noise_sigma=cfg.noise_sigma,
+        correlation=cfg.correlation,
+        seed=cfg.seed,
+        normalize_columns=cfg.normalize_columns,
+    )
     data, bases = datagen.generate(spec)
     ingest.write_csv(data, cfg.output)
     spec_path = str(cfg.output) + ".spec.json"
@@ -292,7 +280,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     """emit the coefficient matrix without clustering"""
     if cfg.output is None:
         raise ConfigError("--output is required for solve")
-    data, _ = _prepared_input(cfg, {})
+    data = _prepared_input(cfg, {})
     coeffs = _run_solver(cfg, data)
     ingest.write_csv(coeffs.z, cfg.output)
     _write_json(
@@ -306,7 +294,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 def run_segmentation(cfg: RunConfig) -> metrics.SegmentationReport:
     """The segment pipeline: load, preprocess, solve, cluster, score."""
     times: dict[str, float] = {}
-    data, manifest = _prepared_input(cfg, times)
+    data = _prepared_input(cfg, times)
     t0 = time.perf_counter()
     coeffs = _run_solver(cfg, data)
     times["solve"] = time.perf_counter() - t0
@@ -315,8 +303,6 @@ def run_segmentation(cfg: RunConfig) -> metrics.SegmentationReport:
     times["affinity"] = time.perf_counter() - t0
 
     k = cfg.k
-    if k is None and manifest and manifest.expected_k:
-        k = manifest.expected_k
     if k is None and data.labels is not None:
         k = int(np.unique(data.labels).size)
     if k is None:

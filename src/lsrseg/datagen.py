@@ -7,9 +7,7 @@ about the solvers can be exercised on data with known ground truth.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
-from pathlib import Path
 
 import numpy as np
 
@@ -76,17 +74,6 @@ class SubspaceSpec:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SubspaceSpec":
-        return cls(**d)
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "SubspaceSpec":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 @dataclass

@@ -8,18 +8,14 @@ so write/read round trips are bit-exact.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
-from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
 from .datagen import DataMatrix
 
-CSV_MATRIX = "csv_matrix"
-CSV_WITH_LABELS = "csv_with_labels"
 LABEL_MARKER = "#labels"
 
 
@@ -47,38 +43,6 @@ class DimensionError(ValueError):
     """Requested projection dimension is out of range."""
 
 
-@dataclass
-class DatasetManifest:
-    """Where a dataset lives and how to preprocess it."""
-
-    path: str
-    format: str = CSV_MATRIX
-    expected_k: int | None = None
-    pca_dim: int | None = None
-    normalize_columns: bool = False
-
-    def __post_init__(self):
-        self.path = str(self.path)
-        if self.format not in (CSV_MATRIX, CSV_WITH_LABELS):
-            raise ValueError(f"unknown dataset format {self.format!r}")
-        if self.pca_dim is not None and self.pca_dim < 1:
-            raise ValueError("pca_dim must be >= 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetManifest":
-        return cls(**d)
-
-    def save(self, path) -> None:
-        atomic_write_text(path, json.dumps(self.to_dict(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "DatasetManifest":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-
 def atomic_write_text(path, text: str) -> None:
     """Write via a same-directory temp file and rename."""
     path = Path(path)
@@ -93,15 +57,9 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def load_csv(source) -> DataMatrix:
-    """Read a d x n sample matrix (and optional labels) from CSV.
-
-    `source` is a path or a DatasetManifest; with a manifest, the declared
-    format is enforced and the normalize/pca settings are validated (the
-    caller applies them).
-    """
-    manifest = source if isinstance(source, DatasetManifest) else None
-    path = Path(manifest.path if manifest else source)
+def load_csv(path) -> DataMatrix:
+    """Read a d x n sample matrix (and optional labels) from CSV."""
+    path = Path(path)
     text = path.read_text()
     rows: list[list[float]] = []
     labels: np.ndarray | None = None
@@ -148,13 +106,6 @@ def load_csv(source) -> DataMatrix:
     n = x.shape[1]
     if labels is not None and labels.shape[0] != n:
         raise ParseError(f"label row has {labels.shape[0]} entries for {n} columns")
-    if manifest is not None:
-        if manifest.format == CSV_WITH_LABELS and labels is None:
-            raise ParseError(f"{path} is missing the required label row")
-        if manifest.pca_dim is not None and manifest.pca_dim > min(x.shape):
-            raise DimensionError(
-                f"pca_dim {manifest.pca_dim} exceeds min(d, n) = {min(x.shape)}"
-            )
     return DataMatrix(x, labels=labels)
 
 
@@ -179,11 +130,11 @@ def unit_columns(data: DataMatrix) -> DataMatrix:
     return DataMatrix(x, labels=data.labels)
 
 
-def pca_project(data, target_dim: int, center: bool = False) -> DataMatrix:
+def pca_project(data, target_dim: int) -> DataMatrix:
     """Project samples onto the top `target_dim` left singular vectors.
 
-    No mean-centering by default: the subspace model is linear (through the
-    origin), so centering would bend it; pass center=True for affine data.
+    No mean-centering: the subspace model is linear (through the origin),
+    so centering would bend it.
     """
     is_dm = isinstance(data, DataMatrix)
     mat = data.x if is_dm else np.asarray(data, dtype=np.float64)
@@ -192,7 +143,6 @@ def pca_project(data, target_dim: int, center: bool = False) -> DataMatrix:
         raise DimensionError(
             f"target_dim must lie in [1, {min(d, n)}], got {target_dim}"
         )
-    work = mat - mat.mean(axis=1, keepdims=True) if center else mat
-    u, _, _ = np.linalg.svd(work, full_matrices=False)
-    projected = u[:, :target_dim].T @ work
+    u, _, _ = np.linalg.svd(mat, full_matrices=False)
+    projected = u[:, :target_dim].T @ mat
     return DataMatrix(projected, labels=data.labels if is_dm else None)

@@ -54,14 +54,14 @@ class InfeasibleColumn(ValueError):
 
 
 class LambdaTooSmall(ValueError):
-    """Rounding error swamps a ridge divisor 1 - x_i^T y_i = lam*P[i, i]."""
+    """Rounding error swamps a ridge divisor lam*P[i, i] (= 1 - x_i^T y_i when d < n)."""
 
     def __init__(self, index: int, divisor: float, rounding: float):
         self.index = index
         self.divisor = divisor
         self.rounding = rounding
         super().__init__(
-            f"column {index}: 1 - x_i^T y_i = {divisor:.3e} is within "
+            f"column {index}: lam*P[i, i] = {divisor:.3e} is within "
             f"{ROUNDING_MARGIN:g}x of its rounding error {rounding:.3e}; lambda is too small"
         )
 
@@ -202,6 +202,19 @@ def _gram(a: np.ndarray, name: str) -> np.ndarray:
     return gram
 
 
+def _check_divisors(divisors: np.ndarray, system: np.ndarray, columns: np.ndarray,
+                    scale: float = 1.0) -> None:
+    """Raise LambdaTooSmall for the first divisor within ROUNDING_MARGIN times
+    its rounding error, scale * eps * ||system||_F * ||columns[:, i]||^2: to
+    first order, solving with `system` perturbs divisor i by at most that."""
+    rounding = scale * np.finfo(np.float64).eps * np.linalg.norm(system)
+    rounding = rounding * np.einsum("ij,ij->j", columns, columns)
+    unresolved = np.nonzero(~(divisors > ROUNDING_MARGIN * rounding))[0]
+    if unresolved.size:
+        i = unresolved[0]
+        raise LambdaTooSmall(int(i), float(divisors[i]), float(rounding[i]))
+
+
 def _ridge_inverse(x, lam: float) -> tuple[np.ndarray, bool]:
     """The one n x n matrix both ridge forms derive from, and whether d < n.
 
@@ -209,11 +222,12 @@ def _ridge_inverse(x, lam: float) -> tuple[np.ndarray, bool]:
     Cholesky solve, so that lam*P = I - X^T Y; otherwise it is
     P = (X^T X + lam*I)^{-1} itself, from an n x n Cholesky solve.
 
-    The d x d form yields lsr1's divisors lam*P[i, i] = 1 - x_i^T y_i by
-    subtraction. To first order the solve perturbs x_i^T y_i by at most
-    eps * ||X X^T + lam*I|| * ||y_i||^2, so where a column's leverage
-    x_i^T y_i is one to within ROUNDING_MARGIN times that, LambdaTooSmall
-    is raised rather than returning a Z that rounding decides.
+    lsr1 divides column i by lam*P[i, i], read as 1 - x_i^T y_i or from P.
+    To first order the solve perturbs x_i^T y_i by at most
+    eps * ||X X^T + lam*I|| * ||y_i||^2, and P[i, i] by at most
+    eps * ||X^T X + lam*I|| * ||P e_i||^2, so where a divisor is within
+    ROUNDING_MARGIN times that, LambdaTooSmall is raised rather than
+    returning a Z that rounding decides.
     """
     mat = data_array(x)
     d, n = mat.shape
@@ -221,18 +235,14 @@ def _ridge_inverse(x, lam: float) -> tuple[np.ndarray, bool]:
         outer = _gram(mat.T, "X X^T")
         outer.flat[:: d + 1] += lam
         y = linalg.solve_spd(outer, mat)
-        rounding = np.finfo(np.float64).eps * np.linalg.norm(outer)
-        rounding *= np.einsum("ij,ij->j", y, y)
         m = mat.T @ y
-        divisors = 1.0 - np.diag(m)
-        unresolved = np.nonzero(~(divisors > ROUNDING_MARGIN * rounding))[0]
-        if unresolved.size:
-            i = unresolved[0]
-            raise LambdaTooSmall(int(i), float(divisors[i]), float(rounding[i]))
+        _check_divisors(1.0 - np.diag(m), outer, y)
         return m, True
     gram = _gram(mat, "X^T X")
     gram.flat[:: n + 1] += lam
-    return linalg.solve_spd(gram, np.eye(n)), False
+    p = linalg.solve_spd(gram, np.eye(n))
+    _check_divisors(lam * np.diag(p), gram, p, scale=lam)
+    return p, False
 
 
 def _identity_minus(m: np.ndarray, scale: float) -> np.ndarray:

@@ -38,21 +38,19 @@ class TestSynth:
         assert sidecar["spec"]["seed"] == 3
         assert sidecar["config"]["seed"] == 3
 
-    def test_spec_file_input(self, tmp_path):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({
-            "ambient_dim": 6,
-            "subspace_dims": [1, 1],
-            "samples_per_subspace": [4, 4],
-            "mode": "orthogonal",
-            "noise_sigma": 0.0,
-            "correlation": None,
-            "seed": 7,
-            "normalize_columns": False,
-        }))
-        out = tmp_path / "d.csv"
-        assert run("synth", "--spec-file", spec_path, "--output", out) == cli.EXIT_OK
-        assert ingest.load_csv(out).x.shape == (6, 8)
+    def test_sidecar_replays_with_config(self, dataset, tmp_path):
+        # the spec sidecar holds the run's config: --config rewrites the CSV
+        replay = tmp_path / "e.csv"
+        assert run("synth", "--config", str(dataset) + ".spec.json",
+                   "--output", replay) == cli.EXIT_OK
+        assert replay.read_bytes() == dataset.read_bytes()
+        sidecar = json.loads((tmp_path / "e.csv.spec.json").read_text())
+        assert sidecar["config"]["output"] == str(replay)
+
+    def test_spec_file_is_retired(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run("synth", "--spec-file", tmp_path / "spec.json", "--output", tmp_path / "d.csv")
+        assert exc.value.code == cli.EXIT_CONFIG
 
     def test_requires_output(self):
         assert run("synth", "--ambient-dim", 6, "--dims", "1,1",
@@ -78,16 +76,15 @@ class TestSolve:
         assert meta["config"]["lam"] == 0.01
         assert meta["variant"] == "lsr2"
 
-    def test_manifest_preprocessing(self, dataset, tmp_path):
-        # unit columns and PCA from the manifest; a --pca-dim flag beats it
-        manifest = ingest.DatasetManifest(path=str(dataset), normalize_columns=True,
-                                          pca_dim=6)
-        mpath = tmp_path / "m.json"
-        manifest.save(mpath)
+    def test_config_preprocessing(self, dataset, tmp_path):
+        # unit columns and PCA from a bare config; a --pca-dim flag beats it
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"input": str(dataset), "normalize_columns": True,
+                                    "pca_dim": 6}))
         unit = ingest.unit_columns(ingest.load_csv(dataset))
         for flags, dim in (([], 6), (["--pca-dim", 4], 4)):
             out = tmp_path / "z.csv"
-            assert run("solve", "--input", mpath, "--output", out, "--solver", "lsr1",
+            assert run("solve", "--config", path, "--output", out, "--solver", "lsr1",
                        "--lambda", 0.01, *flags) == cli.EXIT_OK
             expected = solvers.lsr1(ingest.pca_project(unit, dim), 0.01).z
             assert np.array_equal(ingest.load_csv(out).x, expected)
@@ -154,32 +151,38 @@ class TestSegment:
         assert a["report"]["error_rate"] == b["report"]["error_rate"]
         assert b["config"]["pca_dim"] == 6
 
-    def test_manifest_input(self, dataset, tmp_path):
-        manifest = ingest.DatasetManifest(
-            path=str(dataset), format=ingest.CSV_WITH_LABELS, expected_k=3, pca_dim=6
-        )
-        mpath = tmp_path / "manifest.json"
-        manifest.save(mpath)
-        out = tmp_path / "rm.json"
-        assert run("segment", "--input", mpath, "--output", out,
-                   "--solver", "lsr1", "--lambda", 1e-3) == cli.EXIT_OK
-        assert json.loads(out.read_text())["report"]["error_rate"] == 0.0
+    def test_bare_config_matches_flags(self, dataset, tmp_path):
+        # a bare config gives the Z and labels of the same options as flags
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({"input": str(dataset), "k": 3, "pca_dim": 6,
+                                    "normalize_columns": True, "lam": 1e-3}))
+        flags = ["--input", dataset, "--pca-dim", 6, "--normalize-columns", "--lambda", 1e-3]
 
-    def test_manifest_relative_path(self, dataset, tmp_path, monkeypatch):
-        # A relative data path is read from the manifest's directory,
-        # whatever the working directory.
+        def outputs(name, solve_args, segment_args):
+            z, report = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            assert run("solve", *solve_args, "--output", z) == cli.EXIT_OK
+            assert run("segment", *segment_args, "--output", report) == cli.EXIT_OK
+            return ingest.load_csv(z).x, json.loads(report.read_text())["report"]
+
+        z_config, config_report = outputs("config", ["--config", path], ["--config", path])
+        z_flags, flags_report = outputs("flags", flags, flags + ["--k", 3])
+        assert np.array_equal(z_config, z_flags)
+        assert config_report["predicted_labels"] == flags_report["predicted_labels"]
+        assert config_report["error_rate"] == flags_report["error_rate"] == 0.0
+
+    def test_bare_config_input_is_relative_to_cwd(self, dataset, tmp_path, monkeypatch):
+        # like every other `input`, a config's is read from the working
+        # directory, not from the config file's
         sub = tmp_path / "sub"
         sub.mkdir()
         shutil.copy(dataset, sub / "points.csv")
-        (sub / "m.json").write_text(
-            json.dumps({"path": "points.csv", "format": ingest.CSV_WITH_LABELS})
-        )
+        (sub / "run.json").write_text(json.dumps({"input": "sub/points.csv"}))
         monkeypatch.chdir(tmp_path)
-        assert run("segment", "--input", "sub/m.json",
+        assert run("segment", "--config", "sub/run.json",
                    "--solver", "lsr1", "--lambda", 1e-3) == cli.EXIT_OK
         monkeypatch.chdir(sub)
-        assert run("segment", "--input", "m.json",
-                   "--solver", "lsr1", "--lambda", 1e-3) == cli.EXIT_OK
+        assert run("segment", "--config", "run.json",
+                   "--solver", "lsr1", "--lambda", 1e-3) == cli.EXIT_IO
 
 
 class TestExitCodes:
@@ -340,7 +343,7 @@ class TestEnvOverrides:
 
 SUBCOMMAND_FLAGS = {
     "synth": {"--output", "--seed", "--normalize-columns", "--ambient-dim", "--dims",
-              "--samples", "--mode", "--noise-sigma", "--correlation", "--spec-file"},
+              "--samples", "--mode", "--noise-sigma", "--correlation"},
     "solve": {"--input", "--output", "--solver", "--lambda", "--pca-dim",
               "--normalize-columns", "--preset"},
     "segment": {"--input", "--output", "--solver", "--lambda", "--k", "--pca-dim",
@@ -367,7 +370,6 @@ ENV_SAMPLES = {
     "mode": ("orthogonal", "orthogonal"),
     "noise_sigma": ("0.5", 0.5),
     "correlation": ("0.9", 0.9),
-    "spec_file": ("spec.json", "spec.json"),
     "trials": ("12", 12),
     "ebd_criterion": ("nuclear", "nuclear"),
 }
@@ -401,7 +403,7 @@ class TestOptionLayer:
     def test_subcommand_flag_sets(self):
         flags = parser_flags()
         assert flags == SUBCOMMAND_FLAGS
-        assert sum(map(len, flags.values())) == 31
+        assert sum(map(len, flags.values())) == 30
 
     def test_readme_flag_table_matches_parser(self):
         # README's `| subcommand | flags |` table lists each subcommand's
@@ -419,7 +421,7 @@ class TestOptionLayer:
     def test_every_option_has_an_env_sample(self):
         names = [f.name for f in dataclasses.fields(cli.RunConfig) if f.name != "command"]
         assert sorted(ENV_SAMPLES) == sorted(names)
-        assert len(names) + 1 == 20
+        assert len(names) + 1 == 19
 
     @pytest.mark.parametrize("name", sorted(ENV_SAMPLES))
     def test_env_reaches_config_with_field_type(self, name, monkeypatch, tmp_path):
@@ -455,12 +457,15 @@ class TestOptionLayer:
         {"lam": "zero"}, {"lam": [0.1]}, {"k": "2.5"}, {"k": 2.5}, {"seed": True},
         {"dims": [2.5, 2]}, [], {"dims": [1, "", 1]},
     ])
-    def test_bad_config_file_value_is_config_error(self, stored, tmp_path):
+    def test_bad_config_file_value_is_config_error(self, stored, tmp_path, monkeypatch):
         # Run under a subcommand that takes the option. Without the bad
-        # value either run exits 1: its input is absent.
+        # value either run exits 1: segment's input is absent, and synth,
+        # with LSRSEG_DIMS in place of the config's dims, writes into an
+        # absent directory.
         if "dims" in stored:
-            args = ["synth", "--spec-file", tmp_path / "absent.json",
-                    "--output", tmp_path / "d.csv"]
+            monkeypatch.setenv("LSRSEG_DIMS", "1,1")
+            args = ["synth", "--output", tmp_path / "absent" / "d.csv",
+                    "--ambient-dim", 6, "--samples", "3,3"]
         else:
             args = ["segment", "--input", tmp_path / "absent.csv"]
         path = write_config(tmp_path, stored)
@@ -517,13 +522,17 @@ class TestOptionLayer:
     ])
     def test_out_of_range_is_config_error(self, command, name, text, monkeypatch,
                                           tmp_path):
-        # segment, solve and synth would exit 1 without the bad value (no
-        # such input); check would run.
+        # segment and solve would exit 1 without the bad value (no such
+        # input), synth with a valid ambient dim in its place (no such
+        # output directory); check would run.
         args = {
             "segment": ["--input", tmp_path / "absent.csv"],
             "solve": ["--input", tmp_path / "absent.csv", "--output", tmp_path / "z.csv"],
-            "synth": ["--spec-file", tmp_path / "absent.json", "--output", tmp_path / "d.csv"],
+            "synth": ["--output", tmp_path / "absent" / "d.csv",
+                      "--dims", "1,1", "--samples", "3,3"],
         }.get(command, [])
+        if command == "synth":
+            assert run(command, *args, "--ambient-dim", 6) == cli.EXIT_IO
         assert run(command, *args, cli._flag(name), text) == cli.EXIT_CONFIG
         path = write_config(tmp_path, {name: text})
         assert run(command, *args, "--config", path) == cli.EXIT_CONFIG

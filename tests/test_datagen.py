@@ -1,7 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from lsrseg import datagen, linalg, solvers
+from lsrseg import cli, datagen, linalg, solvers
 from lsrseg.datagen import BasisSet, DataMatrix, SubspaceSpec
 
 
@@ -43,11 +46,18 @@ class TestSubspaceSpec:
         with pytest.raises(datagen.SpecInfeasible, match="noise_sigma"):
             spec_of(noise_sigma=sigma)
 
-    def test_json_round_trip(self, tmp_path):
+    def test_sidecar_spec_replays_with_config(self, tmp_path):
+        # synth's sidecar records spec.to_dict(); --config on it rebuilds the spec
         spec = spec_of(noise_sigma=0.05, correlation=0.3, normalize_columns=True)
-        path = tmp_path / "spec.json"
-        spec.save(path)
-        assert SubspaceSpec.load(path) == spec
+        out, replay = tmp_path / "d.csv", tmp_path / "e.csv"
+        assert cli.main(["synth", "--output", str(out), "--ambient-dim", "10",
+                         "--dims", "2,2,2", "--samples", "20,20,20", "--noise-sigma", "0.05",
+                         "--correlation", "0.3", "--normalize-columns"]) == cli.EXIT_OK
+        assert cli.main(["synth", "--config", str(out) + ".spec.json",
+                         "--output", str(replay)]) == cli.EXIT_OK
+        for path in (out, replay):
+            sidecar = json.loads(Path(str(path) + ".spec.json").read_text())
+            assert SubspaceSpec(**sidecar["spec"]) == spec
 
 
 class TestGenerate:

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsrseg import datagen, ingest
+from lsrseg import cli, datagen, ingest
 from lsrseg.datagen import DataMatrix
 
 
@@ -77,20 +79,6 @@ class TestLoadCsv:
         with pytest.raises(OSError):
             ingest.load_csv(tmp_path / "nope.csv")
 
-    def test_manifest_requires_labels(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("1,2\n")
-        manifest = ingest.DatasetManifest(path=str(path), format=ingest.CSV_WITH_LABELS)
-        with pytest.raises(ingest.ParseError, match="label"):
-            ingest.load_csv(manifest)
-
-    def test_manifest_pca_dim_validated(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("1,2\n3,4\n")
-        manifest = ingest.DatasetManifest(path=str(path), pca_dim=5)
-        with pytest.raises(ingest.DimensionError):
-            ingest.load_csv(manifest)
-
 
 class TestWriteCsv:
     def test_round_trip_generated_dataset(self, tmp_path):
@@ -124,18 +112,40 @@ class TestWriteCsv:
         assert np.array_equal(loaded.labels, [1, 0])
 
 
-class TestManifest:
-    def test_round_trip(self, tmp_path):
-        manifest = ingest.DatasetManifest(
-            path="data.csv", format=ingest.CSV_WITH_LABELS, expected_k=3, pca_dim=12
-        )
-        path = tmp_path / "m.json"
-        manifest.save(path)
-        assert ingest.DatasetManifest.load(path) == manifest
+def write_json(path, payload):
+    path.write_text(json.dumps(payload, indent=2))
+    return str(path)
 
-    def test_unknown_format(self):
-        with pytest.raises(ValueError, match="format"):
-            ingest.DatasetManifest(path="x.csv", format="parquet")
+
+class TestConfigInput:
+    """A bare --config file names the CSV and how to preprocess it; the
+    JSON dataset manifest it replaced is no input format any more."""
+
+    def test_pca_dim_beyond_data_is_numeric_error(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("1,2\n3,4\n")
+        config = write_json(tmp_path / "run.json", {"input": str(path), "pca_dim": 5, "k": 1})
+        assert cli.main(["segment", "--config", config]) == cli.EXIT_NUMERIC
+
+    def test_unlabelled_input_takes_k_from_config(self, tmp_path):
+        path = tmp_path / "x.csv"
+        ingest.write_csv(np.random.default_rng(0).standard_normal((3, 8)), path)
+        config = write_json(tmp_path / "run.json", {"input": str(path)})
+        assert cli.main(["segment", "--config", config]) == cli.EXIT_CONFIG
+        config = write_json(tmp_path / "run.json", {"input": str(path), "k": 2})
+        assert cli.main(["segment", "--config", config]) == cli.EXIT_OK
+
+    def test_manifest_as_input_is_parse_error(self, tmp_path):
+        manifest = write_json(tmp_path / "m.json", {"path": "data.csv", "expected_k": 3})
+        assert cli.main(["segment", "--input", manifest]) == cli.EXIT_IO
+
+    def test_manifest_as_config_is_config_error(self, tmp_path, capsys):
+        # its keys are no options: the run has no input
+        manifest = write_json(tmp_path / "m.json", {
+            "path": "data.csv", "format": "csv_with_labels", "expected_k": 3, "pca_dim": 12,
+        })
+        assert cli.main(["segment", "--config", manifest]) == cli.EXIT_CONFIG
+        assert "--input is required" in capsys.readouterr().err
 
 
 class TestPcaProject:
@@ -177,14 +187,6 @@ class TestPcaProject:
     def test_dimension_error(self):
         with pytest.raises(ingest.DimensionError):
             ingest.pca_project(np.eye(4), 5)
-
-    def test_centering_flag(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((4, 30)) + 100.0
-        uncentered = ingest.pca_project(x, 1)
-        centered = ingest.pca_project(x, 1, center=True)
-        # the huge mean dominates the first direction unless centered
-        assert np.linalg.norm(uncentered.x) > np.linalg.norm(centered.x)
 
 
 class TestUnitColumns:

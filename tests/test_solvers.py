@@ -7,7 +7,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsrseg import datagen, linalg, metrics, solvers
+from lsrseg import datagen, ingest, linalg, metrics, solvers
 
 # Two orthogonal lines in the plane, two samples each (at 1x and 2x the
 # direction vector). Small enough to solve by hand.
@@ -326,11 +326,18 @@ class TestThinRidge:
     @pytest.mark.parametrize("solver", [0, 1], ids=["lsr1", "lsr2"])
     def test_tiny_lambda_leverage_one_is_accurate_or_raises(self, solver, lam):
         # Below ~eps*||X||^2 rounding decides 1 - x_0^T y_0: a solver must
-        # then raise a numeric error rather than return a wrong Z.
+        # then raise a numeric error rather than return a wrong Z. The d >= n
+        # inputs, 6 x 4 Gaussian with column 3 duplicating column 0, take
+        # the n x n path, where rounding decides lam*P[0, 0] instead.
         solve = (solvers.lsr1, solvers.lsr2)[solver]
         rng = np.random.default_rng(11)
-        for _ in range(50):
-            x = scipy.stats.special_ortho_group.rvs(3, random_state=rng) @ LEVERAGE_ONE_X
+        inputs = [scipy.stats.special_ortho_group.rvs(3, random_state=rng) @ LEVERAGE_ONE_X
+                  for _ in range(50)]
+        for seed in range(100):
+            x = np.random.default_rng(seed).standard_normal((6, 4))
+            x[:, 3] = x[:, 0]
+            inputs.append(x)
+        for x in inputs:
             reference = ridge_reference(x, lam)[solver]
             try:
                 z = solve(x, lam).z
@@ -391,7 +398,8 @@ class TestGramOverflow:
 
 
 # keyword knobs that no caller set to anything but their default, now
-# constants (linalg.SV_CUTOFF, always checking additivity, GROUPING_SLACK_TOL)
+# constants (linalg.SV_CUTOFF, always checking additivity, GROUPING_SLACK_TOL,
+# never centering before PCA)
 @pytest.mark.parametrize("function, parameter", [
     (solvers.lsr_constrained, "sv_tol"),
     (linalg.pseudo_inverse, "tol"),
@@ -399,6 +407,7 @@ class TestGramOverflow:
     (metrics.check_ebd, "check_additivity"),
     (metrics.EBDCheckResult.passes, "require_additivity"),
     (metrics.GroupingEffectSummary.bound_holds, "tol"),
+    (ingest.pca_project, "center"),
 ])
 def test_retired_keyword_is_gone(function, parameter):
     assert parameter not in inspect.signature(function).parameters
