@@ -22,9 +22,7 @@ from .metrics import (
 )
 from .solvers import (
     Coefficients,
-    GroupingBoundReport,
     column_oracle_ridge,
-    grouping_bound_report,
     lsr1,
     lsr2,
     lsr_constrained,
@@ -38,7 +36,6 @@ __all__ = [
     "Coefficients",
     "DataMatrix",
     "EBDCheckResult",
-    "GroupingBoundReport",
     "GroupingEffectSummary",
     "Labeling",
     "SegmentationReport",
@@ -49,7 +46,6 @@ __all__ = [
     "check_ebd",
     "column_oracle_ridge",
     "generate",
-    "grouping_bound_report",
     "grouping_effect_stats",
     "is_independent",
     "is_orthogonal",

@@ -432,9 +432,9 @@ _NUMERIC_ERRORS = (
     solvers.NonPositiveLambda,
     solvers.InfeasibleColumn,
     solvers.LambdaTooSmall,
-    solvers.UnnormalizedColumn,
     ingest.DimensionError,
     metrics.LengthMismatch,
+    metrics.UnnormalizedColumn,
 )
 
 

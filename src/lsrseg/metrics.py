@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import datagen, linalg, solvers
-from .solvers import Coefficients, check_unit_columns, data_array
+from .solvers import Coefficients, coefficient_array, data_array
 
 # Pass tolerances of the claim suites, fixed so that no caller can loosen
 # a verification gate.
@@ -24,9 +24,22 @@ DUPLICATE_GAP_TOL = 1e-10  # coefficient gap of a duplicated column pair
 BLOCK_DIAG_TOL = 1e-8  # constrained solver, independent subspaces
 BLOCK_DIAG_ORTH_TOL = 1e-10  # lsr1 and lsr2, orthogonal subspaces
 
+UNIT_NORM_TOL = 1e-10  # |norm - 1| a unit column may show
+# (pair, query) entries grouping_effect_stats holds at once
+PAIR_BLOCK_ELEMENTS = 2**14
+
 
 class LengthMismatch(ValueError):
     """Predicted and ground-truth labelings have different lengths."""
+
+
+class UnnormalizedColumn(ValueError):
+    """A column expected to have unit l2 norm does not."""
+
+    def __init__(self, index: int, norm: float):
+        self.index = index
+        self.norm = norm
+        super().__init__(f"column {index} has l2 norm {norm!r}, expected 1")
 
 
 @dataclass
@@ -93,12 +106,6 @@ def _labels_array(labels) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError("labels must be 1-D")
     return arr
-
-
-def coefficient_array(z) -> np.ndarray:
-    if isinstance(z, Coefficients):
-        return z.z
-    return linalg.as_matrix(z, name="coefficients")
 
 
 def align_clusters(pred, truth) -> tuple[float, dict[int, int]]:
@@ -298,53 +305,67 @@ def check_ebd(
     )
 
 
+def check_unit_columns(mat: np.ndarray) -> np.ndarray:
+    """The column l2 norms, or UnnormalizedColumn for the first that is not 1."""
+    norms = np.linalg.norm(mat, axis=0)
+    bad = np.nonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)[0]
+    if bad.size:
+        raise UnnormalizedColumn(int(bad[0]), float(norms[bad[0]]))
+    return norms
+
+
 def grouping_effect_stats(z: Coefficients, x) -> GroupingEffectSummary:
     """Check the grouping bound of a ridge representation against its data.
 
     For every column pair (i, j) with correlation r = x_i^T x_j (a negative
     r is treated by sign-flipping x_j, which flips the sign of row j), the
-    per-query bound |Z_ic - Z_jc| <= sqrt(2(1 - r)) / lam is verified for
-    all query columns c. Pairs touching the query column are skipped when
-    the diagonal is constrained, since that coefficient is pinned to zero.
+    per-query bound |Z_ic - Z_jc| / ||x_c|| <= sqrt(2(1 - r)) / lam is
+    verified for all query columns c. Pairs touching the query column are
+    skipped when the diagonal is constrained, since that coefficient is
+    pinned to zero. The pairs are taken in row-major blocks of at most
+    PAIR_BLOCK_ELEMENTS (pair, query) entries: O(n^2) memory, not O(n^3).
     """
     if not isinstance(z, Coefficients):
         raise TypeError("grouping_effect_stats needs solver Coefficients (for lam)")
     if z.lam <= 0:
         raise ValueError("grouping bound requires lam > 0")
     mat = data_array(x)
-    check_unit_columns(mat)
+    col_norms = check_unit_columns(mat)
     n = mat.shape[1]
     if z.n != n:
         raise LengthMismatch(f"coefficients are {z.n}x{z.n}, data has {n} columns")
     gram = mat.T @ mat
-    col_norms = np.linalg.norm(mat, axis=0)
+    # pair (i, j > i) has flat index row_start[i] + j - i - 1
+    row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    n_pairs = int(row_start[-1])
 
-    # One row i at a time over all (j > i, c): O(n^2) memory, not O(n^3).
     pairs = []
     max_ratio = 0.0
     min_slack = np.inf
-    n_checked = 0
-    for i in range(n - 1):
-        j = np.arange(i + 1, n)
+    step = max(1, PAIR_BLOCK_ELEMENTS // n)
+    for start in range(0, n_pairs, step):
+        flat = np.arange(start, min(start + step, n_pairs))
+        i = np.searchsorted(row_start, flat, side="right") - 1
+        j = flat - row_start[i] + i + 1
         r = np.clip(gram[i, j], -1.0, 1.0)
-        sign = np.where(r < 0, -1.0, 1.0)
-        rhs = np.sqrt(np.maximum(2.0 * (1.0 - np.abs(r)), 0.0))[:, np.newaxis] / z.lam
-        diff = z.z[i] - sign[:, np.newaxis] * z.z[j]
-        # 1-D norms per row: norm(diff, axis=1) sums in another order.
-        row_diff = [float(np.linalg.norm(row)) for row in diff]
-        pairs.extend(zip([i] * j.size, j.tolist(), r.tolist(), row_diff))
-        lhs = np.abs(diff) / col_norms
-        checked = np.ones(lhs.shape, dtype=bool)
+        rhs = np.sqrt(2.0 * (1.0 - np.abs(r))) / z.lam
+        diff = z.z[j]
+        diff *= np.where(r < 0, 1.0, -1.0)[:, np.newaxis]
+        diff += z.z[i]  # row i minus the sign-flipped row j
+        row_diff = np.sqrt(np.einsum("pc,pc->p", diff, diff))
+        pairs.extend(zip(i.tolist(), j.tolist(), r.tolist(), row_diff.tolist()))
+        lhs = np.abs(diff, out=diff)
+        lhs /= col_norms
         if z.diag_constrained:
-            checked[:, i] = False
-            checked[np.arange(j.size), j] = False
-        n_checked += int(checked.sum())
-        if checked.any():
-            min_slack = min(min_slack, float((rhs - lhs)[checked].min()))
-        positive = checked & (rhs > 0)
-        if positive.any():
-            ratio = (lhs / np.where(rhs > 0, rhs, 1.0))[positive]
-            max_ratio = max(max_ratio, float(ratio.max()))
+            rows = np.arange(flat.size)
+            lhs[rows, i] = -np.inf
+            lhs[rows, j] = -np.inf
+        # Rounded division and subtraction are monotone, so the extremes
+        # over a pair's queries come from its largest lhs.
+        worst = lhs.max(axis=1)
+        min_slack = min(min_slack, float((rhs - worst).min()))
+        ratio = np.divide(worst, rhs, out=np.zeros_like(rhs), where=rhs > 0)
+        max_ratio = max(max_ratio, float(ratio.max()))
 
     if not np.isfinite(min_slack):
         min_slack = 0.0
@@ -353,7 +374,7 @@ def grouping_effect_stats(z: Coefficients, x) -> GroupingEffectSummary:
         pairs=pairs,
         max_ratio=float(max_ratio),
         min_slack=float(min_slack),
-        n_checked=n_checked,
+        n_checked=n_pairs * (n - 2 if z.diag_constrained else n),
     )
 
 
@@ -413,9 +434,10 @@ def oracle_equivalence_suite(trials: int, seed: int, n_max: int = 80) -> dict:
 
 
 def grouping_bound_suite(trials: int, seed: int) -> dict:
-    """The pairwise grouping bound holds on unit-column ridge queries
-    (d in [2, 15], n in [2, 20]), and on every third trial column 1
-    duplicates column 0 and must get the same coefficient."""
+    """The grouping bound holds for every column of lsr2's and lsr1's Z on
+    unit-column data (d in [2, 15], n in [2, 20]); lsr1 leaves each query
+    out of its dictionary. On every third trial column 1 duplicates column 0
+    and the two rows of lsr2's Z must be equal."""
     rng = np.random.default_rng(seed)
     worst, worst_dup, witness = -np.inf, 0.0, None
     for trial in range(trials):
@@ -427,14 +449,16 @@ def grouping_bound_suite(trials: int, seed: int) -> dict:
         if duplicated:
             x[:, 1] = x[:, 0]
         x /= np.linalg.norm(x, axis=0)
-        y = rng.standard_normal(d)
-        report = solvers.grouping_bound_report(x, y, lam)
-        violation = report.max_slack_violation
-        gap = float(abs(report.coefficients[0] - report.coefficients[1])) if duplicated else 0.0
-        worst, worst_dup = max(worst, violation), max(worst_dup, gap)
-        if witness is None and (violation > GROUPING_SLACK_TOL or gap > DUPLICATE_GAP_TOL):
-            witness = {"trial": trial, "d": d, "n": n, "lam": lam,
-                       "violation": violation, "duplicate_gap": gap}
+        for solver, solve in ((solvers.LSR2, solvers.lsr2), (solvers.LSR1, solvers.lsr1)):
+            z = solve(x, lam)
+            violation = -grouping_effect_stats(z, x).min_slack
+            gap = 0.0
+            if duplicated and solver == solvers.LSR2:
+                gap = float(np.max(np.abs(z.z[0] - z.z[1])))
+            worst, worst_dup = max(worst, violation), max(worst_dup, gap)
+            if witness is None and (violation > GROUPING_SLACK_TOL or gap > DUPLICATE_GAP_TOL):
+                witness = {"trial": trial, "solver": solver, "d": d, "n": n, "lam": lam,
+                           "violation": violation, "duplicate_gap": gap}
     return {
         "name": "grouping-bound",
         "passed": witness is None,

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from . import linalg
-from .solvers import Coefficients
+from .solvers import coefficient_array
 
 KMEANS_MAX_ITER = 300
 KMEANS_REL_TOL = 1e-9
@@ -86,8 +86,7 @@ def _affinity_array(w) -> np.ndarray:
 
 def build_affinity(z) -> Affinity:
     """Symmetrized absolute coefficients, W_ij = (|Z_ij| + |Z_ji|) / 2."""
-    mat = z.z if isinstance(z, Coefficients) else linalg.as_matrix(z, name="coefficients")
-    a = np.abs(mat)
+    a = np.abs(coefficient_array(z))
     return Affinity((a + a.T) / 2.0)
 
 

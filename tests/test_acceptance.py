@@ -102,9 +102,9 @@ def test_criterion_4_block_diagonality_orthogonal():
 
 
 def test_criterion_5_grouping_bound():
-    """1000 seeded unit-column ridge instances: the pairwise coefficient
-    bound holds with slack >= -1e-9, and duplicated columns receive equal
-    coefficients to 1e-10."""
+    """1000 seeded unit-column instances: the pairwise coefficient bound
+    holds with slack >= -1e-9 for every column of lsr2's and lsr1's Z, and
+    duplicated columns receive equal rows of lsr2's Z to 1e-10."""
     suite = metrics.grouping_bound_suite(trials=1000, seed=23)
     worst_slack, worst_dup = suite["max_violation"], suite["max_duplicate_gap"]
     verdict(

@@ -227,14 +227,17 @@ class TestGroupingEffectStats:
         assert pair[3] <= 1e-10
         assert summary.bound_holds()
 
-    def test_high_correlation_bound_value(self):
-        c = 0.99
-        x = np.array([[1.0, c, 0.0], [0.0, np.sqrt(1 - c * c), 0.0], [0.0, 0.0, 1.0]])
+    @pytest.mark.parametrize("c, bound", [(0.99, 10.0 * np.sqrt(0.02)), (0.98, 2.0)])
+    def test_high_correlation_bound_value(self, c, bound):
+        # at lam = 0.1 the bound sqrt(2(1 - r)) / lam of the only pair (0, 1)
+        # is 10 * sqrt(0.02) for r = 0.99 and 10 * sqrt(0.04) = 2 for r = 0.98
+        x = np.array([[1.0, c], [0.0, np.sqrt(1 - c * c)]])
         coeffs = solvers.lsr2(x, 0.1)
         summary = metrics.grouping_effect_stats(coeffs, x)
-        # for the (0, 1) pair the bound is 10 * sqrt(2 * 0.01) ~ 1.4142
-        bound = np.sqrt(2 * (1 - c)) / 0.1
-        assert bound == pytest.approx(np.sqrt(0.02) * 10)
+        lhs = np.max(np.abs(coeffs.z[0] - coeffs.z[1]))
+        assert summary.pairs[0][2] == pytest.approx(c)
+        assert summary.min_slack == pytest.approx(bound - lhs, rel=1e-12)
+        assert summary.max_ratio == pytest.approx(lhs / bound, rel=1e-12)
         assert summary.bound_holds()
 
     def test_anticorrelated_pair_sign_flip(self):
@@ -269,6 +272,15 @@ class TestGroupingEffectStats:
         summary = metrics.grouping_effect_stats(solvers.lsr2(x, lam), x)
         assert summary.bound_holds()
 
+    @pytest.mark.parametrize("solve", [solvers.lsr1, solvers.lsr2])
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lam=st.sampled_from([0.01, 0.1, 1.0]))
+    def test_bound_holds_on_random_instances(self, solve, seed, lam):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((8, 12))
+        x /= np.linalg.norm(x, axis=0)
+        assert metrics.grouping_effect_stats(solve(x, lam), x).bound_holds()
+
     @pytest.mark.parametrize(
         "solve, n_checked, max_ratio, min_slack, row_diff_sum",
         [
@@ -296,11 +308,34 @@ class TestGroupingEffectStats:
         assert summary.max_ratio == pytest.approx(max_ratio, rel=1e-9)
         assert summary.min_slack == pytest.approx(min_slack, abs=1e-12)
 
-    def test_requires_unit_columns(self):
-        x = 2.0 * np.eye(3)
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_requires_unit_columns(self, index):
+        x = np.eye(3)
+        x[index, index] = 2.0
         coeffs = solvers.lsr2(x, 0.1)
-        with pytest.raises(solvers.UnnormalizedColumn):
+        with pytest.raises(metrics.UnnormalizedColumn) as err:
             metrics.grouping_effect_stats(coeffs, x)
+        assert (err.value.index, err.value.norm) == (index, 2.0)
+
+    def test_nothing_to_check(self):
+        # lsr1 on two columns: the one pair touches every query column
+        x = np.array([[1.0, 0.6], [0.0, 0.8]])
+        summary = metrics.grouping_effect_stats(solvers.lsr1(x, 0.1), x)
+        assert [p[:3] for p in summary.pairs] == [(0, 1, pytest.approx(0.6))]
+        assert (summary.n_checked, summary.min_slack, summary.max_ratio) == (0, 0.0, 0.0)
+        single = metrics.grouping_effect_stats(solvers.lsr2(x[:, :1], 0.1), x[:, :1])
+        assert (single.pairs, single.n_checked, single.min_slack) == ([], 0, 0.0)
+
+    @pytest.mark.parametrize("solve", [solvers.lsr1, solvers.lsr2])
+    def test_block_size_does_not_change_the_summary(self, solve, monkeypatch):
+        # one pair per block splits every row of pairs across blocks
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((6, 9))
+        x /= np.linalg.norm(x, axis=0)
+        z = solve(x, 0.1)
+        whole = metrics.grouping_effect_stats(z, x)
+        monkeypatch.setattr(metrics, "PAIR_BLOCK_ELEMENTS", 1)
+        assert metrics.grouping_effect_stats(z, x) == whole
 
     def test_requires_coefficients_object(self):
         with pytest.raises(TypeError):
@@ -336,19 +371,40 @@ class TestClaimSuites:
         assert suite["witness"]["trial"] == 0
 
     def test_grouping_suite_flags_unequal_duplicate_coefficients(self, monkeypatch):
-        exact = solvers.grouping_bound_report
+        # row 1 of lsr2's Z moves by less than the slack tolerance, so only
+        # the duplicate gap of trial 0 can trip
+        exact = solvers.lsr2
 
-        def skewed(x, y, lam):
-            report = exact(x, y, lam)
-            report.coefficients[1] += 1e-9
-            return report
+        def skewed(x, lam):
+            z = exact(x, lam).z
+            z[1] += 0.5 * metrics.GROUPING_SLACK_TOL
+            return solvers.Coefficients(z, lam, solvers.LSR2, False)
 
-        monkeypatch.setattr(solvers, "grouping_bound_report", skewed)
+        monkeypatch.setattr(solvers, "lsr2", skewed)
         suite = metrics.grouping_bound_suite(trials=4, seed=0)
         assert suite["max_violation"] <= metrics.GROUPING_SLACK_TOL
         assert not suite["passed"]
         assert suite["witness"]["trial"] == 0
+        assert suite["witness"]["solver"] == solvers.LSR2
         assert suite["witness"]["duplicate_gap"] > metrics.DUPLICATE_GAP_TOL
+
+    def test_grouping_suite_checks_lsr1(self, monkeypatch):
+        # lsr1's off-diagonal row 0 moves far past any bound sqrt(2(1-r))/lam
+        exact = solvers.lsr1
+
+        def broken(x, lam):
+            z = exact(x, lam).z
+            z[0, 1:] += 1e6
+            return solvers.Coefficients(z, lam, solvers.LSR1, True)
+
+        monkeypatch.setattr(solvers, "lsr1", broken)
+        suite = metrics.grouping_bound_suite(trials=4, seed=0)
+        assert not suite["passed"]
+        assert suite["max_duplicate_gap"] <= metrics.DUPLICATE_GAP_TOL
+        witness = suite["witness"]
+        assert witness["solver"] == solvers.LSR1
+        assert witness["violation"] > 1e5
+        assert witness["duplicate_gap"] == 0.0
 
     def test_block_diag_suite_flags_a_dense_solution(self, monkeypatch):
         monkeypatch.setattr(

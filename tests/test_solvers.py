@@ -27,11 +27,6 @@ MIXING_FEASIBLE_Z = np.array(
 )
 
 
-def random_unit_columns(rng, d, n):
-    x = rng.standard_normal((d, n))
-    return x / np.linalg.norm(x, axis=0)
-
-
 def near_duplicate_columns():
     """Seven unit columns in R^6, each with a near-duplicate 1e-5 away: X^T X
     + lam*I has condition ~1/lam."""
@@ -116,11 +111,6 @@ class TestLsrConstrained:
         z = solvers.lsr_constrained(scale * TWO_LINES_X).z
         assert np.allclose(z, solvers.lsr_constrained(TWO_LINES_X).z, rtol=0.0, atol=1e-15)
 
-    def test_no_diag_constraint_keeps_full_dictionary(self):
-        coeffs = solvers.lsr_constrained(np.eye(3), zero_diag=False)
-        assert np.allclose(coeffs.z, np.eye(3), atol=1e-12)
-        assert not coeffs.diag_constrained
-
     def test_single_column(self):
         with pytest.raises(solvers.InfeasibleColumn):
             solvers.lsr_constrained(np.array([[1.0], [0.0]]))
@@ -149,20 +139,22 @@ class TestLsrConstrained:
         coeffs = solvers.lsr_constrained(np.array(x))
         assert np.allclose(coeffs.z, expected, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("eps, tol", [(1e-3, 1e-2), (1e-9, solvers.FEASIBILITY_TOL)])
-    def test_tolerance_accepts_least_squares_fit(self, eps, tol):
-        # Each column is off the other's span by a relative residual of
-        # eps / sqrt(1 + eps^2), so X has rank 2 and no null space. Within
-        # tol the least-squares fits are kept, as the per-column
-        # pseudoinverse solver did; below it column 0 is reported.
-        x = np.array([[1.0, 1.0], [0.0, eps]])
-        residual = eps / np.sqrt(1.0 + eps**2)
-        z = solvers.lsr_constrained(x, tol=tol).z
+    # Each column of [[1, 1], [0, eps]] is off the other's span by a relative
+    # residual of eps / sqrt(1 + eps^2), so X has rank 2 and no null space.
+
+    def test_tolerance_accepts_least_squares_fit(self):
+        # within FEASIBILITY_TOL the least-squares fits are kept, as the
+        # per-column pseudoinverse solver did
+        eps = 1e-9
+        z = solvers.lsr_constrained(np.array([[1.0, 1.0], [0.0, eps]])).z
         assert np.allclose(z, [[0.0, 1.0], [1.0 / (1.0 + eps**2), 0.0]], rtol=0.0, atol=1e-15)
+
+    def test_residual_beyond_tolerance_is_reported(self):
+        eps = 1e-3
         with pytest.raises(solvers.InfeasibleColumn) as err:
-            solvers.lsr_constrained(x, tol=residual / 2)
+            solvers.lsr_constrained(np.array([[1.0, 1.0], [0.0, eps]]))
         assert err.value.index == 0
-        assert err.value.residual == pytest.approx(residual, rel=1e-6)
+        assert err.value.residual == pytest.approx(eps / np.sqrt(1.0 + eps**2), rel=1e-6)
 
     def test_partly_representable_column_residual(self):
         # Column 5 is a random vector outside span(a): its least-squares
@@ -375,7 +367,6 @@ LAMBDA_SOLVERS = {
     "lsr1": lambda lam: solvers.lsr1(np.eye(3), lam),
     "lsr2": lambda lam: solvers.lsr2(np.eye(3), lam),
     "column_oracle_ridge": lambda lam: solvers.column_oracle_ridge(np.eye(3), lam),
-    "grouping_bound_report": lambda lam: solvers.grouping_bound_report(np.eye(3), np.ones(3), lam),
 }
 
 
@@ -398,10 +389,13 @@ class TestGramOverflow:
 
 
 # keyword knobs that no caller set to anything but their default, now
-# constants (linalg.SV_CUTOFF, always checking additivity, GROUPING_SLACK_TOL,
-# never centering before PCA)
+# constants (linalg.SV_CUTOFF, FEASIBILITY_TOL, always zeroing the constrained
+# diagonal, always checking additivity, GROUPING_SLACK_TOL, never centering
+# before PCA)
 @pytest.mark.parametrize("function, parameter", [
     (solvers.lsr_constrained, "sv_tol"),
+    (solvers.lsr_constrained, "tol"),
+    (solvers.lsr_constrained, "zero_diag"),
     (linalg.pseudo_inverse, "tol"),
     (linalg.matrix_rank, "tol"),
     (metrics.check_ebd, "check_additivity"),
@@ -491,47 +485,16 @@ class TestBlockDiagonalStructure:
             assert np.max(np.abs(z[cross])) <= 1e-12
 
 
-class TestGroupingBound:
-    def test_duplicate_columns_equal_coefficients(self):
-        rng = np.random.default_rng(6)
-        x = random_unit_columns(rng, 6, 5)
-        x[:, 1] = x[:, 0]
-        y = rng.standard_normal(6)
-        report = solvers.grouping_bound_report(x, y, 0.5)
-        i, j, lhs, rhs, r = report.pairs[0]
-        assert (i, j) == (0, 1)
-        assert r == pytest.approx(1.0)
-        assert rhs == 0.0
-        assert abs(report.coefficients[0] - report.coefficients[1]) <= 1e-12
-
-    def test_high_correlation_bound_value(self):
-        # r = 0.98 at lam = 0.1 bounds the gap by 10 * sqrt(0.04) = 2.
-        c = 0.98
-        x = np.array([[1.0, c], [0.0, np.sqrt(1 - c * c)]])
-        y = np.array([1.0, 2.0])
-        report = solvers.grouping_bound_report(x, y, 0.1)
-        _, _, lhs, rhs, r = report.pairs[0]
-        assert r == pytest.approx(0.98)
-        assert rhs == pytest.approx(2.0, rel=1e-12)
-        assert lhs <= rhs
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), lam=st.sampled_from([0.01, 0.1, 1.0]))
-    def test_bound_holds_on_random_instances(self, seed, lam):
-        rng = np.random.default_rng(seed)
-        x = random_unit_columns(rng, 8, 12)
-        y = rng.standard_normal(8)
-        report = solvers.grouping_bound_report(x, y, lam)
-        assert report.max_slack_violation <= metrics.GROUPING_SLACK_TOL
-
-    def test_rejects_unnormalized_columns(self):
-        x = np.array([[2.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(solvers.UnnormalizedColumn) as err:
-            solvers.grouping_bound_report(x, np.ones(2), 0.1)
-        assert err.value.index == 0
-
-
 class TestCoefficients:
+    def test_coefficient_array_unwraps_without_copy(self):
+        coeffs = solvers.lsr2(np.eye(2), 1.0)
+        assert solvers.coefficient_array(coeffs) is coeffs.z
+        assert solvers.coefficient_array([[0.5, 0.0], [0.0, 0.5]]).dtype == np.float64
+
+    def test_coefficient_array_rejects_non_finite(self):
+        with pytest.raises(linalg.NonFiniteMatrix, match="coefficients"):
+            solvers.coefficient_array([[0.0, np.nan], [1.0, 0.0]])
+
     def test_diag_constraint_enforced(self):
         with pytest.raises(ValueError, match="diagonal"):
             solvers.Coefficients(np.ones((2, 2)), 0.1, solvers.LSR1, True)
