@@ -91,7 +91,6 @@ class RunConfig:
     noise_sigma: float = _option(0.0, "synth")
     correlation: float | None = _option(None, "synth")
     trials: int = _option(200, "check", minimum=1)
-    ebd_criterion: str | None = _option(None, "check", choices=tuple(metrics.EBD_TABLE))
 
     def __post_init__(self):
         for f in fields(self):
@@ -313,14 +312,13 @@ def run_segmentation(cfg: RunConfig) -> metrics.SegmentationReport:
     times["cluster"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if data.labels is not None:
+    truth_available = data.labels is not None
+    error_rate, mapping = None, None
+    if truth_available:
         error_rate, mapping = metrics.align_clusters(labeling, data.labels)
-        violation = metrics.block_diag_violation(coeffs, data.labels)
-        truth_available = True
-    else:
-        error_rate, mapping = None, None
-        violation = metrics.block_diag_violation(coeffs, labeling.labels)
-        truth_available = False
+    violation = metrics.block_diag_violation(
+        coeffs, data.labels if truth_available else labeling.labels
+    )
     times["metrics"] = time.perf_counter() - t0
 
     return metrics.SegmentationReport(
@@ -358,23 +356,6 @@ def cmd_segment(cfg: RunConfig) -> int:
 
 def cmd_check(cfg: RunConfig) -> int:
     """run the structural verification suites"""
-    if cfg.ebd_criterion:
-        f, nonneg, _ = metrics.EBD_TABLE[cfg.ebd_criterion]
-        res = metrics.check_ebd(
-            f, trials=cfg.trials, seed=cfg.seed, nonnegative=nonneg, name=cfg.ebd_criterion
-        )
-        payload = _payload(cfg, result=res.to_dict())
-        if cfg.output:
-            _write_json(cfg.output, payload)
-        ok = res.passes()
-        print(
-            f"ebd {cfg.ebd_criterion}: permutation={res.permutation_invariance_pass} "
-            f"dominance={res.diagonal_dominance_pass} additivity={res.additivity_pass}"
-        )
-        if not ok:
-            print(json.dumps(res.counterexamples, indent=2), file=sys.stderr)
-        return EXIT_OK if ok else EXIT_CHECK
-
     suites = [
         metrics.ebd_conditions_suite(cfg.trials, cfg.seed),
         metrics.oracle_equivalence_suite(max(10, cfg.trials // 4), cfg.seed, n_max=80),

@@ -91,7 +91,7 @@ class GroupingEffectSummary:
     """Pairwise correlation vs coefficient-difference statistics."""
 
     lam: float
-    pairs: list[tuple[int, int, float, float]]  # (i, j, r, row_diff_norm)
+    max_row_gap: float  # largest ||z_i - sign(r) z_j|| over the pairs
     max_ratio: float
     min_slack: float
     n_checked: int
@@ -196,13 +196,9 @@ def rank_criterion(z: np.ndarray) -> float:
     return float(linalg.matrix_rank(z))
 
 
-def msr_criterion(delta: float = 1.0):
-    """l1 plus delta times the nuclear norm."""
-
-    def criterion(z: np.ndarray) -> float:
-        return l1_norm(z) + delta * nuclear_norm(z)
-
-    return criterion
+def msr_criterion(z: np.ndarray) -> float:
+    """l1 plus the nuclear norm."""
+    return l1_norm(z) + nuclear_norm(z)
 
 
 def power_criterion(p: float, s: float = 1.0):
@@ -223,7 +219,7 @@ EBD_TABLE = {
     "nuclear": (nuclear_norm, False, (True, True, True)),
     "gram-l1": (gram_l1, True, (True, True, True)),
     "rank": (rank_criterion, False, (True, False, True)),
-    "msr": (msr_criterion(1.0), False, (True, True, True)),
+    "msr": (msr_criterion, False, (True, True, True)),
 }
 
 
@@ -246,10 +242,10 @@ def check_ebd(
     require (1) f(Z) = f(ZP) for a random permutation P, (2) f(Z) > f(Z_D)
     where Z_D zeroes the off-diagonal blocks (strict because the generated
     off-blocks carry mass), and (3) f(Z_D) = f(A) + f(D). The first
-    counterexample per condition is recorded.
+    counterexample per condition is recorded, and a condition is no longer
+    tested once it has one.
     """
     rng = np.random.default_rng(seed)
-    perm_ok, dom_ok, add_ok = True, True, True
     counterexamples: dict[str, dict] = {}
 
     for trial in range(trials):
@@ -273,24 +269,17 @@ def check_ebd(
         fzd = f(zd)
         scale = 1.0 + abs(fz)
 
-        if perm_ok:
-            p = np.eye(n)[:, rng.permutation(n)]
-            fzp = f(full @ p)
+        if "permutation" not in counterexamples:
+            fzp = f(full[:, rng.permutation(n)])
             if abs(fz - fzp) > 1e-9 * scale:
-                perm_ok = False
-                counterexamples["permutation"] = _ebd_witness(
-                    trial, full, f_z=fz, f_zp=fzp
-                )
-        if dom_ok:
-            if fz < fzd - 1e-9 * scale or fz - fzd <= 1e-7 * scale:
-                dom_ok = False
-                counterexamples["dominance"] = _ebd_witness(
-                    trial, full, f_z=fz, f_zd=fzd
-                )
-        if add_ok:
+                counterexamples["permutation"] = _ebd_witness(trial, full, f_z=fz, f_zp=fzp)
+        if "dominance" not in counterexamples and (
+            fz < fzd - 1e-9 * scale or fz - fzd <= 1e-7 * scale
+        ):
+            counterexamples["dominance"] = _ebd_witness(trial, full, f_z=fz, f_zd=fzd)
+        if "additivity" not in counterexamples:
             fa, fd = f(a), f(d)
             if abs(fzd - (fa + fd)) > 1e-9 * (1.0 + abs(fzd)):
-                add_ok = False
                 counterexamples["additivity"] = _ebd_witness(
                     trial, zd, f_zd=fzd, f_a=fa, f_d=fd
                 )
@@ -298,9 +287,9 @@ def check_ebd(
     return EBDCheckResult(
         criterion=name or getattr(f, "__name__", "criterion"),
         trials=trials,
-        permutation_invariance_pass=perm_ok,
-        diagonal_dominance_pass=dom_ok,
-        additivity_pass=add_ok,
+        permutation_invariance_pass="permutation" not in counterexamples,
+        diagonal_dominance_pass="dominance" not in counterexamples,
+        additivity_pass="additivity" not in counterexamples,
         counterexamples=counterexamples,
     )
 
@@ -322,8 +311,10 @@ def grouping_effect_stats(z: Coefficients, x) -> GroupingEffectSummary:
     per-query bound |Z_ic - Z_jc| / ||x_c|| <= sqrt(2(1 - r)) / lam is
     verified for all query columns c. Pairs touching the query column are
     skipped when the diagonal is constrained, since that coefficient is
-    pinned to zero. The pairs are taken in row-major blocks of at most
-    PAIR_BLOCK_ELEMENTS (pair, query) entries: O(n^2) memory, not O(n^3).
+    pinned to zero. ``max_row_gap`` is the largest whole-row difference
+    ||z_i - z_j|| (after the flip). The pairs are taken in row-major blocks
+    of at most PAIR_BLOCK_ELEMENTS (pair, query) entries: O(n^2) memory,
+    not O(n^3).
     """
     if not isinstance(z, Coefficients):
         raise TypeError("grouping_effect_stats needs solver Coefficients (for lam)")
@@ -339,8 +330,7 @@ def grouping_effect_stats(z: Coefficients, x) -> GroupingEffectSummary:
     row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
     n_pairs = int(row_start[-1])
 
-    pairs = []
-    max_ratio = 0.0
+    max_row_gap = max_ratio = 0.0
     min_slack = np.inf
     step = max(1, PAIR_BLOCK_ELEMENTS // n)
     for start in range(0, n_pairs, step):
@@ -352,8 +342,8 @@ def grouping_effect_stats(z: Coefficients, x) -> GroupingEffectSummary:
         diff = z.z[j]
         diff *= np.where(r < 0, 1.0, -1.0)[:, np.newaxis]
         diff += z.z[i]  # row i minus the sign-flipped row j
-        row_diff = np.sqrt(np.einsum("pc,pc->p", diff, diff))
-        pairs.extend(zip(i.tolist(), j.tolist(), r.tolist(), row_diff.tolist()))
+        row_gap = np.sqrt(np.einsum("pc,pc->p", diff, diff).max())
+        max_row_gap = max(max_row_gap, float(row_gap))
         lhs = np.abs(diff, out=diff)
         lhs /= col_norms
         if z.diag_constrained:
@@ -371,7 +361,7 @@ def grouping_effect_stats(z: Coefficients, x) -> GroupingEffectSummary:
         min_slack = 0.0
     return GroupingEffectSummary(
         lam=z.lam,
-        pairs=pairs,
+        max_row_gap=max_row_gap,
         max_ratio=float(max_ratio),
         min_slack=float(min_slack),
         n_checked=n_pairs * (n - 2 if z.diag_constrained else n),
@@ -384,8 +374,9 @@ def grouping_effect_stats(z: Coefficients, x) -> GroupingEffectSummary:
 # ---------------------------------------------------------------------------
 
 def ebd_conditions_suite(trials: int, seed: int) -> dict:
-    """Every EBD_TABLE criterion shows its expected condition flags; rank's
-    expected dominance failure must carry a counterexample."""
+    """Every EBD_TABLE criterion shows its expected condition flags. Each
+    row carries the criterion's counterexamples, so rank's expected
+    dominance failure comes with its witness."""
     results, failures = [], []
     for name, (f, nonneg, expected) in EBD_TABLE.items():
         res = check_ebd(f, trials=trials, seed=seed, nonnegative=nonneg, name=name)
@@ -395,9 +386,8 @@ def ebd_conditions_suite(trials: int, seed: int) -> dict:
             res.additivity_pass,
         )
         ok = actual == expected
-        if name == "rank" and ok and "dominance" not in res.counterexamples:
-            ok = False  # the expected failure must carry a witness
-        results.append({"criterion": name, "expected": expected, "actual": actual, "ok": ok})
+        results.append({"criterion": name, "expected": expected, "actual": actual, "ok": ok,
+                        "counterexamples": res.counterexamples})
         if not ok:
             failures.append({"criterion": name, "result": res.to_dict()})
     return {

@@ -77,8 +77,8 @@ class Coefficients:
         self.z = linalg.as_matrix(self.z, name="coefficient matrix")
         if self.z.shape[0] != self.z.shape[1]:
             raise ValueError(f"coefficient matrix must be square, got {self.z.shape}")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
         if self.diag_constrained and np.any(np.diag(self.z) != 0.0):
             raise ValueError("diagonal must be exactly zero when diag-constrained")
 

@@ -198,15 +198,15 @@ def normalized_cuts(w, k: int, seed: int = 0, restarts: int = 20) -> Labeling:
 
     Zero-degree nodes get a zeroed D^{-1/2} entry, are clustered like any
     other row, and are finally reassigned to the largest cluster (listed in
-    ``zero_degree``). An all-zero affinity with k > 1 falls back to
-    contiguous index blocks with ``degenerate`` set.
+    ``zero_degree``). An all-zero affinity falls back to contiguous index
+    blocks with ``degenerate`` set.
     """
     mat = _affinity_array(w)
     n = mat.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
 
-    if k > 1 and not mat.any():
+    if not mat.any():
         blocks = np.array_split(np.arange(n), k)
         labels = np.empty(n, dtype=int)
         for idx, block in enumerate(blocks):

@@ -127,6 +127,18 @@ class TestSegment:
         labels = json.loads(out.read_text())["report"]["predicted_labels"]
         assert set(labels) == {0}
 
+    def test_k_one_on_all_zero_affinity(self, tmp_path):
+        # orthonormal columns give lsr1 Z = 0; at n = 200 normalized cuts
+        # would take the Lanczos path, which cannot start from W = 0
+        data_path = tmp_path / "eye.csv"
+        ingest.write_csv(np.eye(200), data_path)
+        out = tmp_path / "r.json"
+        assert run("segment", "--input", data_path, "--output", out, "--k", 1,
+                   "--solver", "lsr1", "--lambda", 0.1) == cli.EXIT_OK
+        report = json.loads(out.read_text())["report"]
+        assert report["degenerate_affinity"] is True
+        assert report["predicted_labels"] == [0] * 200
+
     def test_deterministic_reruns(self, dataset, tmp_path):
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (out_a, out_b):
@@ -282,17 +294,38 @@ class TestCheck:
         payload = json.loads(out.read_text())
         assert all(suite["passed"] for suite in payload["suites"])
 
-    def test_rank_criterion_fails_with_witness(self, tmp_path, capsys):
-        out = tmp_path / "rank.json"
-        assert run("check", "--ebd-criterion", "rank", "--trials", 30,
-                   "--output", out) == cli.EXIT_CHECK
-        payload = json.loads(out.read_text())
-        assert payload["result"]["diagonal_dominance_pass"] is False
-        assert "dominance" in payload["result"]["counterexamples"]
-        assert "dominance" in capsys.readouterr().err
+    @pytest.fixture(scope="class")
+    def ebd_rows(self, tmp_path_factory):
+        """criterion -> its row of the ebd-conditions suite of one check run"""
+        out = tmp_path_factory.mktemp("check") / "check.json"
+        assert run("check", "--trials", 30, "--output", out) == cli.EXIT_OK
+        (suite,) = [s for s in json.loads(out.read_text())["suites"]
+                    if s["name"] == "ebd-conditions"]
+        return {row["criterion"]: row for row in suite["results"]}
 
-    def test_l1_criterion_passes(self):
-        assert run("check", "--ebd-criterion", "l1", "--trials", 30) == cli.EXIT_OK
+    def test_rank_criterion_fails_with_witness(self, ebd_rows):
+        # rank's expected dominance failure is reported with its witness:
+        # off-block mass that does not raise the rank
+        rank = ebd_rows["rank"]
+        assert rank["ok"] and rank["actual"] == [True, False, True]
+        assert set(rank["counterexamples"]) == {"dominance"}
+        witness = rank["counterexamples"]["dominance"]
+        assert witness["f_z"] <= witness["f_zd"] + 1e-12
+        assert np.abs(np.asarray(witness["z"])).sum() > 0
+
+    def test_l1_criterion_passes(self, ebd_rows):
+        l1 = ebd_rows["l1"]
+        assert l1["ok"] and l1["actual"] == [True, True, True]
+        assert l1["counterexamples"] == {}
+
+    def test_frobenius_row_carries_additivity_witness(self, ebd_rows):
+        assert set(ebd_rows["frobenius"]["counterexamples"]) == {"additivity"}
+
+    def test_ebd_criterion_is_retired(self):
+        # a single criterion's result is its ebd-conditions row
+        with pytest.raises(SystemExit) as exc:
+            run("check", "--ebd-criterion", "rank")
+        assert exc.value.code == cli.EXIT_CONFIG
 
     def test_tampered_closed_form_detected(self):
         # mutation: skip the diagonal zeroing of the closed form; the
@@ -348,7 +381,7 @@ SUBCOMMAND_FLAGS = {
               "--normalize-columns", "--preset"},
     "segment": {"--input", "--output", "--solver", "--lambda", "--k", "--pca-dim",
                 "--seed", "--restarts", "--normalize-columns", "--preset"},
-    "check": {"--output", "--seed", "--trials", "--ebd-criterion"},
+    "check": {"--output", "--seed", "--trials"},
 }
 
 # field -> (text of its flag, LSRSEG_* variable or config value, resolved
@@ -371,7 +404,6 @@ ENV_SAMPLES = {
     "noise_sigma": ("0.5", 0.5),
     "correlation": ("0.9", 0.9),
     "trials": ("12", 12),
-    "ebd_criterion": ("nuclear", "nuclear"),
 }
 
 
@@ -403,7 +435,7 @@ class TestOptionLayer:
     def test_subcommand_flag_sets(self):
         flags = parser_flags()
         assert flags == SUBCOMMAND_FLAGS
-        assert sum(map(len, flags.values())) == 30
+        assert sum(map(len, flags.values())) == 29
 
     def test_readme_flag_table_matches_parser(self):
         # README's `| subcommand | flags |` table lists each subcommand's
@@ -421,7 +453,7 @@ class TestOptionLayer:
     def test_every_option_has_an_env_sample(self):
         names = [f.name for f in dataclasses.fields(cli.RunConfig) if f.name != "command"]
         assert sorted(ENV_SAMPLES) == sorted(names)
-        assert len(names) + 1 == 19
+        assert len(names) + 1 == 18
 
     @pytest.mark.parametrize("name", sorted(ENV_SAMPLES))
     def test_env_reaches_config_with_field_type(self, name, monkeypatch, tmp_path):
@@ -495,16 +527,16 @@ class TestOptionLayer:
         assert run("segment", "--input", tmp_path / "absent.csv") == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize("name, command", [
-        ("solver", "segment"), ("mode", "synth"), ("ebd_criterion", "check"),
+        ("solver", "segment"), ("mode", "synth"), ("preset", "solve"),
     ])
     def test_bad_choice_is_config_error(self, name, command, monkeypatch, tmp_path):
-        # Without the bad value these runs would exit 1 (segment: no such
-        # input) or 0 (synth, check).
+        # Without the bad value these runs would exit 1 (segment, solve: no
+        # such input) or 0 (synth).
         args = {
             "segment": ["--input", tmp_path / "absent.csv"],
+            "solve": ["--input", tmp_path / "absent.csv", "--output", tmp_path / "z.csv"],
             "synth": ["--output", tmp_path / "d.csv", "--ambient-dim", 6,
                       "--dims", "1,1", "--samples", "3,3"],
-            "check": ["--trials", 10],
         }[command]
         with pytest.raises(SystemExit) as exc:
             run(command, *args, "--" + name.replace("_", "-"), "bogus")

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -147,7 +148,8 @@ class TestEbdConditions:
         assert metrics.check_ebd(metrics.nuclear_norm, trials=100, seed=2).passes()
 
     def test_msr_passes_all(self):
-        assert metrics.check_ebd(metrics.msr_criterion(0.7), trials=100, seed=3).passes()
+        f, nonnegative, _ = metrics.EBD_TABLE["msr"]
+        assert metrics.check_ebd(f, trials=100, seed=3, nonnegative=nonnegative).passes()
 
     def test_gram_l1_passes_on_nonnegative(self):
         res = metrics.check_ebd(metrics.gram_l1, trials=100, seed=4, nonnegative=True)
@@ -222,9 +224,9 @@ class TestGroupingEffectStats:
         x /= np.linalg.norm(x, axis=0)
         coeffs = solvers.lsr2(x, 0.5)
         summary = metrics.grouping_effect_stats(coeffs, x)
-        pair = next(p for p in summary.pairs if (p[0], p[1]) == (0, 1))
-        assert pair[2] == pytest.approx(1.0)
-        assert pair[3] <= 1e-10
+        # r = 1 makes the bound of pair (0, 1) zero, so its largest
+        # coefficient gap is the only negative slack
+        assert -1e-10 <= summary.min_slack <= 0.0
         assert summary.bound_holds()
 
     @pytest.mark.parametrize("c, bound", [(0.99, 10.0 * np.sqrt(0.02)), (0.98, 2.0)])
@@ -235,7 +237,7 @@ class TestGroupingEffectStats:
         coeffs = solvers.lsr2(x, 0.1)
         summary = metrics.grouping_effect_stats(coeffs, x)
         lhs = np.max(np.abs(coeffs.z[0] - coeffs.z[1]))
-        assert summary.pairs[0][2] == pytest.approx(c)
+        assert summary.max_row_gap == pytest.approx(np.linalg.norm(coeffs.z[0] - coeffs.z[1]))
         assert summary.min_slack == pytest.approx(bound - lhs, rel=1e-12)
         assert summary.max_ratio == pytest.approx(lhs / bound, rel=1e-12)
         assert summary.bound_holds()
@@ -247,9 +249,10 @@ class TestGroupingEffectStats:
         x /= np.linalg.norm(x, axis=0)
         coeffs = solvers.lsr2(x, 0.3)
         summary = metrics.grouping_effect_stats(coeffs, x)
-        pair = next(p for p in summary.pairs if (p[0], p[1]) == (0, 1))
-        assert pair[2] == pytest.approx(-1.0)
-        assert pair[3] <= 1e-10  # |row_0 + row_1| after the flip
+        # the bound of pair (0, 1) is zero, and its gap is |row_0 + row_1|
+        # after the flip (|row_0 - row_1| = 2|row_0| without it)
+        assert np.max(np.abs(coeffs.z[0])) > 1e-3
+        assert -1e-10 <= summary.min_slack <= 0.0
         assert summary.bound_holds()
 
     def test_diag_constrained_skips_query_column_pairs(self):
@@ -282,28 +285,29 @@ class TestGroupingEffectStats:
         assert metrics.grouping_effect_stats(solve(x, lam), x).bound_holds()
 
     @pytest.mark.parametrize(
-        "solve, n_checked, max_ratio, min_slack, row_diff_sum",
+        "solve, n_checked, max_ratio, min_slack, max_row_gap",
         [
             (solvers.lsr1, 102660, 0.018668909863203395, -5.412337245047638e-16,
-             849.594910667109),
+             0.6294371944159757),
             (solvers.lsr2, 106200, 0.01570476499183347, -4.371503159461554e-16,
-             767.1278199707257),
+             0.5990976206409377),
         ],
     )
-    def test_seeded_case_pinned(self, solve, n_checked, max_ratio, min_slack, row_diff_sum):
+    def test_seeded_case_pinned(self, solve, n_checked, max_ratio, min_slack, max_row_gap):
         # Expected values pinned from a plain triple loop over (i, j, c).
         rng = np.random.default_rng(60)
         x = rng.standard_normal((8, 60))
         x[:, 1] = -x[:, 0]
         x /= np.linalg.norm(x, axis=0)
-        summary = metrics.grouping_effect_stats(solve(x, 0.1), x)
-        assert len(summary.pairs) == 60 * 59 // 2
-        assert summary.pairs[0][:3] == (0, 1, -1.0)
-        assert [p[:2] for p in summary.pairs] == [
-            (i, j) for i in range(60) for j in range(i + 1, 60)
+        z = solve(x, 0.1)
+        summary = metrics.grouping_effect_stats(z, x)
+        r = x.T @ x
+        gaps = [
+            np.linalg.norm(z.z[i] - np.sign(r[i, j]) * z.z[j])
+            for i in range(60) for j in range(i + 1, 60)
         ]
-        assert sum(p[2] for p in summary.pairs) == pytest.approx(-5.779836609897763, rel=1e-12)
-        assert sum(p[3] for p in summary.pairs) == pytest.approx(row_diff_sum, rel=1e-9)
+        assert summary.max_row_gap == pytest.approx(max(gaps), rel=1e-12)
+        assert summary.max_row_gap == pytest.approx(max_row_gap, rel=1e-12)
         assert summary.n_checked == n_checked
         assert summary.max_ratio == pytest.approx(max_ratio, rel=1e-9)
         assert summary.min_slack == pytest.approx(min_slack, abs=1e-12)
@@ -320,11 +324,12 @@ class TestGroupingEffectStats:
     def test_nothing_to_check(self):
         # lsr1 on two columns: the one pair touches every query column
         x = np.array([[1.0, 0.6], [0.0, 0.8]])
-        summary = metrics.grouping_effect_stats(solvers.lsr1(x, 0.1), x)
-        assert [p[:3] for p in summary.pairs] == [(0, 1, pytest.approx(0.6))]
+        z = solvers.lsr1(x, 0.1)
+        summary = metrics.grouping_effect_stats(z, x)
+        assert summary.max_row_gap == pytest.approx(np.linalg.norm(z.z[0] - z.z[1]))
         assert (summary.n_checked, summary.min_slack, summary.max_ratio) == (0, 0.0, 0.0)
         single = metrics.grouping_effect_stats(solvers.lsr2(x[:, :1], 0.1), x[:, :1])
-        assert (single.pairs, single.n_checked, single.min_slack) == ([], 0, 0.0)
+        assert (single.max_row_gap, single.n_checked, single.min_slack) == (0.0, 0, 0.0)
 
     @pytest.mark.parametrize("solve", [solvers.lsr1, solvers.lsr2])
     def test_block_size_does_not_change_the_summary(self, solve, monkeypatch):
@@ -340,6 +345,22 @@ class TestGroupingEffectStats:
     def test_requires_coefficients_object(self):
         with pytest.raises(TypeError):
             metrics.grouping_effect_stats(np.eye(3), np.eye(3))
+
+    @pytest.mark.parametrize("solve", [solvers.lsr1, solvers.lsr2])
+    def test_peak_nxn_buffers(self, solve):
+        # the Gram matrix X^T X plus one block of pairs; nothing per pair
+        n = 300
+        x = np.random.default_rng(4).standard_normal((30, n))
+        x /= np.linalg.norm(x, axis=0)
+        z = solve(x, 0.1)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            metrics.grouping_effect_stats(z, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / (8.0 * n**2) <= 2.0
 
 
 class TestReportSerialization:

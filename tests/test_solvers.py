@@ -502,3 +502,10 @@ class TestCoefficients:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             solvers.Coefficients(np.ones((2, 3)), 0.1, solvers.LSR2, False)
+
+    @pytest.mark.parametrize("lam", [-0.1, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite_lambda(self, lam):
+        # a NaN lam would make every grouping bound sqrt(2(1 - r)) / lam NaN,
+        # and the bound check would pass whatever Z holds
+        with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
+            solvers.Coefficients(np.eye(3), lam, solvers.LSR2, False)

@@ -126,9 +126,13 @@ class TestNormalizedCuts:
         assert lab.labels[-1] == counts.argmax()
 
     def test_all_zero_affinity_degenerate_blocks(self):
-        lab = spectral.normalized_cuts(np.zeros((6, 6)), 3, seed=0)
-        assert lab.degenerate
-        assert np.array_equal(lab.labels, [0, 0, 1, 1, 2, 2])
+        # n = 200 is past the dense cutoff: Lanczos cannot start from W = 0
+        for n, k, expected in [
+            (6, 3, [0, 0, 1, 1, 2, 2]), (6, 1, [0] * 6), (200, 1, [0] * 200),
+        ]:
+            lab = spectral.normalized_cuts(np.zeros((n, n)), k, seed=0)
+            assert lab.degenerate
+            assert np.array_equal(lab.labels, expected)
 
     def test_k_one_single_cluster(self):
         w, _ = block_affinity([5], seed=7)
