@@ -80,6 +80,66 @@ class TestLoadCsv:
             ingest.load_csv(tmp_path / "nope.csv")
 
 
+def parse_outcome(parse):
+    """A parse's DataMatrix, or its exception class and position."""
+    try:
+        data = parse()
+    except ingest.ParseError as err:
+        return type(err), err.line, err.col
+    return data
+
+
+def same_outcome(a, b):
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    labels_equal = (a.labels is None and b.labels is None) or (
+        a.labels is not None and b.labels is not None and np.array_equal(a.labels, b.labels)
+    )
+    return a.x.shape == b.x.shape and np.array_equal(a.x, b.x) and labels_equal
+
+
+# Inputs where np.loadtxt and float() may disagree, and every shape the
+# label rules care about. The grid ones must take the one-call path.
+PARITY_INPUTS = {
+    "underscore": "1,1_0\n2,3\n",
+    "padded": " 1.5 ,2\n3, 4 \n",
+    "tab": "1\t,2\n3,\t4\n",
+    "nan": "1,2\n3,nan\n",
+    "inf": "1,inf\n3,4\n",
+    "overflow": "1,2\n1e400,4\n",
+    "hex": "1,0x1p3\n3,4\n",
+    "arabic_indic_digit": "\u0661,2\n3,4\n",
+    "trailing_comma": "1,2,\n3,4,\n",
+    "comment_line": "1,2\n# note\n3,4\n",
+    "trailing_comment": "1,2 # x\n3,4\n",
+    "whitespace_lines": "1,2\n   \n\t\n3,4\n  \n",
+    "crlf": "1,2\r\n3,4\r\n#labels,0,1\r\n",
+    "labels_not_last": "1,2\n#labels,0,1\n3,4\n",
+    "duplicate_labels": "1,2\n#labels,0,1\n#labels,0,1\n",
+    "label_count_mismatch": "1,2,3\n#labels,0,1\n",
+    "one_row": "1,2,3\n#labels,0,1,1\n",
+    "one_column": "1\n2\n3\n",
+    "bad_label": "1\n2\n3\n#labels,4,\n",
+    "one_cell_labelled": "7\n#labels,4\n",
+    "empty": "",
+}
+GRID_INPUTS = {"padded", "tab", "whitespace_lines", "crlf", "one_row", "one_column",
+               "one_cell_labelled"}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_INPUTS))
+def test_fast_path_matches_cell_loop(name, tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_bytes(PARITY_INPUTS[name].encode())
+    lines = path.read_text().splitlines()
+    expected = parse_outcome(lambda: ingest._parse_cells(lines, path))
+    assert same_outcome(parse_outcome(lambda: ingest.load_csv(path)), expected)
+    fast = ingest._parse_grid(lines)
+    assert (fast is not None) == (name in GRID_INPUTS)
+    if fast is not None:
+        assert same_outcome(fast, expected)
+
+
 class TestWriteCsv:
     def test_round_trip_generated_dataset(self, tmp_path):
         spec = datagen.SubspaceSpec(
@@ -110,6 +170,17 @@ class TestWriteCsv:
         ingest.write_csv(np.eye(2), path, labels=[1, 0])
         loaded = ingest.load_csv(path)
         assert np.array_equal(loaded.labels, [1, 0])
+
+    def test_bytes_match_per_cell_format(self, tmp_path):
+        x = np.array([
+            [-0.0, 5e-324, 1e300, -1e300],
+            [1e-300, -1e-300, 3.0, -12.0],
+            [0.1, 1 / 3, 2 / 3, 1234567.8901234567],
+        ])
+        path = tmp_path / "x.csv"
+        ingest.write_csv(x, path, labels=[0, 1, 1, 2])
+        expected = [",".join(format(v, ".17g") for v in row) for row in x] + ["#labels,0,1,1,2"]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
 def write_json(path, payload):
@@ -187,6 +258,51 @@ class TestPcaProject:
     def test_dimension_error(self):
         with pytest.raises(ingest.DimensionError):
             ingest.pca_project(np.eye(4), 5)
+
+    @pytest.mark.parametrize("shape", [(40, 15), (15, 40)])
+    def test_gram_route_matches_svd(self, shape):
+        x = np.random.default_rng(5).standard_normal(shape)
+        u, _, _ = np.linalg.svd(x, full_matrices=False)
+        reference = u[:, :6].T @ x
+        projected = ingest.pca_project(x, 6).x
+        gram = reference.T @ reference
+        assert np.max(np.abs(projected.T @ projected - gram)) <= 1e-12 * np.max(np.abs(gram))
+
+    @pytest.mark.parametrize("ratio, svd_calls", [(1e-8, 1), (1e-4, 0)])
+    @pytest.mark.parametrize("shape", [(40, 15), (15, 40)])
+    def test_ill_conditioned_spectrum_takes_svd(self, shape, ratio, svd_calls, monkeypatch):
+        # kept spectrum lambda_1 .. lambda_5 spans `ratio`; the rest is smaller
+        rng = np.random.default_rng(6)
+        m = min(shape)
+        sigma = np.concatenate([np.geomspace(1.0, np.sqrt(ratio), 5),
+                                np.geomspace(0.5, 1e-3, m - 5) * np.sqrt(ratio)])
+        u, _ = np.linalg.qr(rng.standard_normal((shape[0], m)))
+        v, _ = np.linalg.qr(rng.standard_normal((shape[1], m)))
+        x = (u * sigma) @ v.T
+        svd = np.linalg.svd
+        calls = []
+
+        def counted_svd(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        assert (ratio < ingest.GRAM_MIN_RATIO) == bool(svd_calls)
+        projected = ingest.pca_project(x, 5).x
+        assert len(calls) == svd_calls
+        if svd_calls:
+            left, _, _ = svd(x, full_matrices=False)
+            assert np.array_equal(projected, left[:, :5].T @ x)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    @pytest.mark.parametrize("shape", [(40, 15), (15, 40)])
+    def test_extreme_scales(self, shape, scale):
+        # the Gram matrix of X itself would underflow or overflow
+        x = np.random.default_rng(7).standard_normal(shape)
+        unit = ingest.pca_project(x, 6).x
+        projected = ingest.pca_project(scale * x, 6).x / scale
+        gram = unit.T @ unit
+        assert np.max(np.abs(projected.T @ projected - gram)) <= 1e-12 * np.max(np.abs(gram))
 
 
 class TestUnitColumns:
