@@ -291,21 +291,28 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def run_segmentation(cfg: RunConfig) -> metrics.SegmentationReport:
-    """The segment pipeline: load, preprocess, solve, cluster, score."""
+    """The segment pipeline: load, preprocess, solve, cluster, score.
+
+    W is built over the solver's Z, which is not read again: the run holds
+    one n x n array after the solve, and the violation is scored on W.
+    """
     times: dict[str, float] = {}
     data = _prepared_input(cfg, times)
-    t0 = time.perf_counter()
-    coeffs = _run_solver(cfg, data)
-    times["solve"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    affinity = spectral.build_affinity(coeffs)
-    times["affinity"] = time.perf_counter() - t0
-
     k = cfg.k
     if k is None and data.labels is not None:
         k = int(np.unique(data.labels).size)
     if k is None:
         raise ConfigError("--k is required when the dataset carries no labels")
+    if k > data.n_samples:
+        raise ConfigError(f"need 1 <= k <= {data.n_samples}, got k={k}")
+
+    t0 = time.perf_counter()
+    coeffs = _run_solver(cfg, data)
+    times["solve"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    affinity = spectral.affinity_in_place(coeffs)
+    del coeffs  # its z now holds W
+    times["affinity"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     labeling = spectral.normalized_cuts(affinity, k, seed=cfg.seed, restarts=cfg.restarts)
@@ -317,7 +324,7 @@ def run_segmentation(cfg: RunConfig) -> metrics.SegmentationReport:
     if truth_available:
         error_rate, mapping = metrics.align_clusters(labeling, data.labels)
     violation = metrics.block_diag_violation(
-        coeffs, data.labels if truth_available else labeling.labels
+        affinity.w, data.labels if truth_available else labeling.labels
     )
     times["metrics"] = time.perf_counter() - t0
 

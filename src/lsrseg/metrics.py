@@ -44,7 +44,12 @@ class UnnormalizedColumn(ValueError):
 
 @dataclass
 class SegmentationReport:
-    """End-to-end segmentation outcome plus per-stage wall times."""
+    """End-to-end segmentation outcome plus per-stage wall times.
+
+    ``block_diag_violation`` is measured on the affinity W = (|Z| + |Z^T|) / 2:
+    in exact arithmetic it equals Z's cross-label share of the mass, since
+    the mirror of a cross-label pair is one too.
+    """
 
     error_rate: float | None
     aligned_permutation: dict[int, int] | None

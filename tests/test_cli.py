@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from lsrseg import cli, ingest, solvers
+from lsrseg import cli, datagen, ingest, metrics, solvers
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -139,6 +139,23 @@ class TestSegment:
         assert report["degenerate_affinity"] is True
         assert report["predicted_labels"] == [0] * 200
 
+    @pytest.mark.parametrize("solver", ["constrained", "lsr1", "lsr2"])
+    def test_two_lines_violation_is_scored_on_w(self, solver, tmp_path):
+        x = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 2.0]])
+        labels = np.array([0, 0, 1, 1])
+        path = tmp_path / "lines.csv"
+        ingest.write_csv(datagen.DataMatrix(x, labels), path)
+        cfg = cli.RunConfig("segment", input=str(path), solver=solver, lam=1e-2)
+        report = cli.run_segmentation(cfg)
+        on_z = metrics.block_diag_violation(cli._run_solver(cfg, ingest.load_csv(path)), labels)
+        assert report.error_rate == 0.0
+        assert report.block_diag_violation == pytest.approx(on_z, abs=1e-12)
+        if solver == "constrained":
+            # the null-space projector leaves ~1e-16 of rounding across the lines
+            assert report.block_diag_violation <= 1e-8
+        else:
+            assert report.block_diag_violation == 0.0
+
     def test_deterministic_reruns(self, dataset, tmp_path):
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (out_a, out_b):
@@ -198,6 +215,20 @@ class TestSegment:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("flags, message", [
+        ([], "--k is required"), (["--k", 61], "need 1 <= k <= 60, got k=61"),
+    ])
+    def test_k_is_checked_before_the_solve(self, flags, message, dataset, tmp_path,
+                                           monkeypatch, capsys):
+        def no_solve(cfg, data):
+            raise AssertionError("solver ran before k was checked")
+
+        monkeypatch.setattr(cli, "_run_solver", no_solve)
+        unlabeled = tmp_path / "unlabeled.csv"
+        ingest.write_csv(ingest.load_csv(dataset).x, unlabeled)
+        assert run("segment", "--input", unlabeled, *flags) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_missing_input_is_io_error(self, tmp_path):
         assert run("segment", "--input", tmp_path / "absent.csv",
                    "--solver", "lsr1", "--lambda", 0.1) == cli.EXIT_IO

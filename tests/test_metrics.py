@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsrseg import metrics, solvers
+from lsrseg import datagen, metrics, solvers, spectral
 
 MIXING_FEASIBLE_Z = np.array(
     [
@@ -133,6 +133,36 @@ class TestBlockDiagViolation:
         # zeroing the cross-label entries leaves exactly nothing to count
         z[cross] = 0.0
         assert metrics.block_diag_violation(z, labels) == 0.0
+
+
+class TestViolationOnAffinity:
+    """W = (|Z| + |Z^T|) / 2 has Z's cross-label share of the mass: the mirror
+    (j, i) of a cross-label pair (i, j) is one too."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("solver", ["constrained", "lsr1", "lsr2"])
+    def test_w_scores_as_z(self, solver, seed):
+        spec = datagen.SubspaceSpec(
+            ambient_dim=12,
+            subspace_dims=(2, 3, 2),
+            samples_per_subspace=(9, 12, 10),
+            noise_sigma=0.0 if solver == "constrained" else 0.05,
+            seed=seed,
+        )
+        data, _ = datagen.generate(spec)
+        x = data.x.copy()
+        x[:, 5] = 0.0  # a zero sample: an isolated node of the ridge solvers' Z and W
+        if solver == "constrained":
+            z = solvers.lsr_constrained(x).z
+        else:
+            z = getattr(solvers, solver)(x, 1e-2).z
+            assert not z[5].any() and not z[:, 5].any()
+        w = spectral.build_affinity(z).w
+        if solver == "lsr2":
+            assert np.diag(z).any()
+        assert metrics.block_diag_violation(w, data.labels) == pytest.approx(
+            metrics.block_diag_violation(z, data.labels), abs=1e-12
+        )
 
 
 class TestEbdConditions:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsrseg import datagen, linalg, metrics, solvers, spectral
+from lsrseg import cli, datagen, ingest, linalg, metrics, solvers, spectral
 
 
 def block_affinity(sizes, seed=0):
@@ -44,6 +44,35 @@ class TestAffinity:
     def test_nonnegative_validation(self):
         with pytest.raises(ValueError, match="nonnegative"):
             spectral.Affinity(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+
+    @pytest.mark.parametrize("w, message", [
+        ([[0.0, 1.0], [0.5, 0.0]], "symmetric"), ([[0.0, -1.0], [-1.0, 0.0]], "nonnegative"),
+    ])
+    def test_normalized_cuts_checks_plain_arrays(self, w, message):
+        with pytest.raises(ValueError, match=message):
+            spectral.normalized_cuts(np.array(w), 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 773])
+    def test_tiles_equal_dense_reference(self, n):
+        # signed entries, exact zeros and repeated values across the diagonal
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal((n, n))
+        z[rng.random((n, n)) < 0.2] = 0.0
+        picks = rng.random((n, n)) < 0.2
+        z[picks] = -z.T[picks]
+        z[:, n // 2] = z[:, 0]
+        original = z.copy()
+        reference = (np.abs(z) + np.abs(z).T) / 2.0
+        assert np.array_equal(spectral.build_affinity(z).w, reference)
+        assert np.array_equal(z, original)
+        coeffs = solvers.Coefficients(z, lam=0.0, variant="given", diag_constrained=False)
+        affinity = spectral.affinity_in_place(coeffs)
+        assert affinity.w is z and np.array_equal(z, reference)
+
+    def test_overflowing_sum_is_non_finite(self):
+        big = np.finfo(np.float64).max
+        with pytest.raises(linalg.NonFiniteMatrix, match="affinity"):
+            spectral.build_affinity(np.array([[0.0, big], [-big, 0.0]]))
 
 
 class TestKmeans:
@@ -263,17 +292,22 @@ class TestLanczosPath:
 
 
 class TestPeakMemory:
-    """Live n x n float64 buffers per layer call at n = 500, traced by tracemalloc.
+    """Live n x n float64 buffers per layer call, traced by tracemalloc.
 
-    With d = 30 < n each ridge solver holds only X^T Y, rescaled or returned
-    in place, plus the n x n boolean of its finiteness check (1.13 here);
-    the affinity |Z| and its symmetrized sum. Normalized cuts forms no n x n
+    At n = 500, with d = 30 < n each ridge solver holds only X^T Y, rescaled
+    or returned in place, plus the n x n boolean of its finiteness check
+    (1.13 here). The affinity is one |Z| copy symmetrized in place, tile by
+    tile (1.13 with the tile temporaries). Normalized cuts forms no n x n
     buffer: the Lanczos basis and work vectors of length n are all it adds
     to its input affinity (0.16 here). The block-diagonality score copies
     one cluster's rows of Z at a time (0.21 with five equal clusters).
+
+    A whole ``segment`` run at n = 1000 builds W over the solver's Z, so after
+    the solve it holds W plus one cluster's rows of it (1.24; was 3.16).
     """
 
     N = 500
+    RUN_N = 1000
 
     @pytest.fixture(scope="class")
     def pipeline(self):
@@ -294,12 +328,8 @@ class TestPeakMemory:
             "block_diag_violation": (metrics.block_diag_violation, coeffs, data.labels),
         }
 
-    @pytest.mark.parametrize("layer, limit", [
-        ("lsr1", 1.2), ("lsr2", 1.2), ("build_affinity", 2.2), ("normalized_cuts", 0.2),
-        ("block_diag_violation", 0.25),
-    ])
-    def test_peak_nxn_buffers(self, pipeline, layer, limit):
-        func, *args = pipeline[layer]
+    @staticmethod
+    def traced_nxn(n, func, *args):
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
@@ -307,7 +337,28 @@ class TestPeakMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (peak - start) / (8.0 * self.N**2) <= limit
+        return (peak - start) / (8.0 * n**2)
+
+    @pytest.mark.parametrize("layer, limit", [
+        ("lsr1", 1.2), ("lsr2", 1.2), ("build_affinity", 1.2), ("normalized_cuts", 0.2),
+        ("block_diag_violation", 0.25),
+    ])
+    def test_peak_nxn_buffers(self, pipeline, layer, limit):
+        assert self.traced_nxn(self.N, *pipeline[layer]) <= limit
+
+    @pytest.mark.parametrize("solver", ["lsr1", "lsr2"])
+    def test_run_segmentation_peak(self, solver, tmp_path):
+        spec = datagen.SubspaceSpec(
+            ambient_dim=30,
+            subspace_dims=(5,) * 5,
+            samples_per_subspace=(self.RUN_N // 5,) * 5,
+            noise_sigma=0.05,
+            normalize_columns=True,
+        )
+        path = tmp_path / "d.csv"
+        ingest.write_csv(datagen.generate(spec)[0], path)
+        cfg = cli.RunConfig("segment", input=str(path), solver=solver, lam=1e-2)
+        assert self.traced_nxn(self.RUN_N, cli.run_segmentation, cfg) <= 1.3
 
 
 class TestLabeling:
