@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .datagen import BasisSet, DataMatrix, SubspaceSpec, generate, is_independent, is_orthogonal
 from .ingest import load_csv, pca_project, unit_columns, write_csv
 from .metrics import (
-    EBDCheckResult,
     GroupingEffectSummary,
     SegmentationReport,
     align_clusters,
@@ -35,7 +34,6 @@ __all__ = [
     "BasisSet",
     "Coefficients",
     "DataMatrix",
-    "EBDCheckResult",
     "GroupingEffectSummary",
     "Labeling",
     "SegmentationReport",

@@ -324,7 +324,7 @@ def run_segmentation(cfg: RunConfig) -> metrics.SegmentationReport:
     if truth_available:
         error_rate, mapping = metrics.align_clusters(labeling, data.labels)
     violation = metrics.block_diag_violation(
-        affinity.w, data.labels if truth_available else labeling.labels
+        affinity, data.labels if truth_available else labeling.labels
     )
     times["metrics"] = time.perf_counter() - t0
 

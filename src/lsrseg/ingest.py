@@ -160,14 +160,13 @@ def _parse_cells(lines: list[str], path: Path) -> DataMatrix:
     return DataMatrix(x, labels=labels)
 
 
-def write_csv(data, path, labels=None) -> None:
-    """Write a matrix (or DataMatrix) to CSV with 17 significant digits."""
+def write_csv(data, path) -> None:
+    """Write a matrix (or DataMatrix, with its labels) to CSV with 17
+    significant digits."""
     if isinstance(data, DataMatrix):
-        mat = data.x
-        if labels is None:
-            labels = data.labels
+        mat, labels = data.x, data.labels
     else:
-        mat = np.asarray(data, dtype=np.float64)
+        mat, labels = np.asarray(data, dtype=np.float64), None
     row_format = ",".join(["%.17g"] * mat.shape[1])
     lines = [row_format % tuple(row) for row in mat.tolist()]
     if labels is not None:

@@ -2,7 +2,7 @@
 enforced-block-diagonal (EBD) condition checks, grouping-effect stats, and
 the four claim suites that ``lsrseg check`` and the acceptance gate run.
 
-These are numeric witnesses, not proofs: every failed flag carries a
+These are numeric witnesses, not proofs: every failed condition is a
 recorded counterexample that can be serialized and inspected.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from . import datagen, linalg, solvers
+from . import datagen, linalg, solvers, spectral
 from .solvers import Coefficients, coefficient_array, data_array
 
 # Pass tolerances of the claim suites, fixed so that no caller can loosen
@@ -70,32 +70,9 @@ class SegmentationReport:
 
 
 @dataclass
-class EBDCheckResult:
-    """Outcome of the three block-diagonality-enforcing condition checks."""
-
-    criterion: str
-    trials: int
-    permutation_invariance_pass: bool
-    diagonal_dominance_pass: bool
-    additivity_pass: bool
-    counterexamples: dict[str, dict] = field(default_factory=dict)
-
-    def passes(self) -> bool:
-        return (
-            self.permutation_invariance_pass
-            and self.diagonal_dominance_pass
-            and self.additivity_pass
-        )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass
 class GroupingEffectSummary:
     """Pairwise correlation vs coefficient-difference statistics."""
 
-    lam: float
     max_row_gap: float  # largest ||z_i - sign(r) z_j|| over the pairs
     max_ratio: float
     min_slack: float
@@ -149,12 +126,14 @@ def segmentation_error(pred, truth) -> float:
 def block_diag_violation(z, truth) -> float:
     """Share of absolute coefficient mass falling across cluster boundaries.
 
-    Each label's rows |Z[rows_l]| are summed by column, and the columns of
-    the other labels are added up directly rather than as total minus the
+    ``z`` is Coefficients, an Affinity (whose W is finite by construction,
+    so it is not rescanned) or a plain array, which is validated. Each
+    label's rows |Z[rows_l]| are summed by column, and the columns of the
+    other labels are added up directly rather than as total minus the
     diagonal block, so an exactly block-diagonal Z scores exactly 0. Only
     one label's row block is copied at a time.
     """
-    mat = coefficient_array(z)
+    mat = z.w if isinstance(z, spectral.Affinity) else coefficient_array(z)
     labels = _labels_array(truth)
     if labels.shape[0] != mat.shape[0] or mat.shape[0] != mat.shape[1]:
         raise LengthMismatch(
@@ -215,16 +194,16 @@ def power_criterion(p: float, s: float = 1.0):
     return criterion
 
 
-# name -> (criterion, trials kept nonnegative (SSQP domain), expected
-# (permutation invariance, diagonal dominance, additivity) flags)
+# name -> (criterion, trials kept nonnegative (SSQP domain), the
+# conditions check_ebd is expected to find it failing)
 EBD_TABLE = {
-    "l1": (l1_norm, False, (True, True, True)),
-    "frobenius": (frobenius_norm, False, (True, True, False)),
-    "frobenius-sq": (frobenius_norm_sq, False, (True, True, True)),
-    "nuclear": (nuclear_norm, False, (True, True, True)),
-    "gram-l1": (gram_l1, True, (True, True, True)),
-    "rank": (rank_criterion, False, (True, False, True)),
-    "msr": (msr_criterion, False, (True, True, True)),
+    "l1": (l1_norm, False, []),
+    "frobenius": (frobenius_norm, False, ["additivity"]),
+    "frobenius-sq": (frobenius_norm_sq, False, []),
+    "nuclear": (nuclear_norm, False, []),
+    "gram-l1": (gram_l1, True, []),
+    "rank": (rank_criterion, False, ["dominance"]),
+    "msr": (msr_criterion, False, []),
 }
 
 
@@ -239,16 +218,16 @@ def check_ebd(
     trials: int = 200,
     seed: int = 0,
     nonnegative: bool = False,
-    name: str | None = None,
-) -> EBDCheckResult:
+) -> dict[str, dict]:
     """Numerically test the three enforced-block-diagonal conditions on f.
 
     Per trial a random 2-block matrix Z = [[A, B], [C, D]] is drawn and we
     require (1) f(Z) = f(ZP) for a random permutation P, (2) f(Z) > f(Z_D)
     where Z_D zeroes the off-diagonal blocks (strict because the generated
-    off-blocks carry mass), and (3) f(Z_D) = f(A) + f(D). The first
-    counterexample per condition is recorded, and a condition is no longer
-    tested once it has one.
+    off-blocks carry mass), and (3) f(Z_D) = f(A) + f(D). Returns the
+    first counterexample per failed condition, keyed "permutation",
+    "dominance" or "additivity"; f meets every condition without a key. A
+    condition is no longer tested once it has one.
     """
     rng = np.random.default_rng(seed)
     counterexamples: dict[str, dict] = {}
@@ -289,14 +268,7 @@ def check_ebd(
                     trial, zd, f_zd=fzd, f_a=fa, f_d=fd
                 )
 
-    return EBDCheckResult(
-        criterion=name or getattr(f, "__name__", "criterion"),
-        trials=trials,
-        permutation_invariance_pass="permutation" not in counterexamples,
-        diagonal_dominance_pass="dominance" not in counterexamples,
-        additivity_pass="additivity" not in counterexamples,
-        counterexamples=counterexamples,
-    )
+    return counterexamples
 
 
 def check_unit_columns(mat: np.ndarray) -> np.ndarray:
@@ -365,7 +337,6 @@ def grouping_effect_stats(z: Coefficients, x) -> GroupingEffectSummary:
     if not np.isfinite(min_slack):
         min_slack = 0.0
     return GroupingEffectSummary(
-        lam=z.lam,
         max_row_gap=max_row_gap,
         max_ratio=float(max_ratio),
         min_slack=float(min_slack),
@@ -379,27 +350,21 @@ def grouping_effect_stats(z: Coefficients, x) -> GroupingEffectSummary:
 # ---------------------------------------------------------------------------
 
 def ebd_conditions_suite(trials: int, seed: int) -> dict:
-    """Every EBD_TABLE criterion shows its expected condition flags. Each
+    """Every EBD_TABLE criterion fails exactly its expected conditions. Each
     row carries the criterion's counterexamples, so rank's expected
-    dominance failure comes with its witness."""
-    results, failures = [], []
+    dominance failure comes with its witness; the suite's witness is the
+    first row that is not ok."""
+    results = []
     for name, (f, nonneg, expected) in EBD_TABLE.items():
-        res = check_ebd(f, trials=trials, seed=seed, nonnegative=nonneg, name=name)
-        actual = (
-            res.permutation_invariance_pass,
-            res.diagonal_dominance_pass,
-            res.additivity_pass,
-        )
-        ok = actual == expected
-        results.append({"criterion": name, "expected": expected, "actual": actual, "ok": ok,
-                        "counterexamples": res.counterexamples})
-        if not ok:
-            failures.append({"criterion": name, "result": res.to_dict()})
+        found = check_ebd(f, trials=trials, seed=seed, nonnegative=nonneg)
+        results.append({"criterion": name, "expected": expected, "counterexamples": found,
+                        "ok": sorted(found) == sorted(expected)})
+    witness = next((row for row in results if not row["ok"]), None)
     return {
         "name": "ebd-conditions",
-        "passed": not failures,
+        "passed": witness is None,
         "results": results,
-        "witness": failures[0] if failures else None,
+        "witness": witness,
     }
 
 

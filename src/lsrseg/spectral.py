@@ -159,25 +159,23 @@ def _assign(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
-    k = centers.shape[0]
     labels, dist2 = _assign(points, centers)
-    objective = float(dist2[np.arange(len(labels)), labels].sum())
+    own_d2 = dist2.min(axis=1)  # each point's distance to its own center
+    objective = float(own_d2.sum())
     for _ in range(KMEANS_MAX_ITER):
-        new_centers = centers.copy()
-        for j in range(k):
+        new_centers = np.empty_like(centers)
+        for j in range(centers.shape[0]):
             members = labels == j
             if members.any():
                 new_centers[j] = points[members].mean(axis=0)
-        # Re-seed empty clusters from the point farthest from its center.
-        own_d2 = dist2[np.arange(len(labels)), labels].copy()
-        for j in range(k):
-            if not np.any(labels == j):
+            else:  # re-seed from the point farthest from its center
                 far = int(own_d2.argmax())
                 new_centers[j] = points[far]
                 own_d2[far] = 0.0
         centers = new_centers
         labels, dist2 = _assign(points, centers)
-        new_objective = float(dist2[np.arange(len(labels)), labels].sum())
+        own_d2 = dist2.min(axis=1)
+        new_objective = float(own_d2.sum())
         if new_objective == 0.0 or (
             objective > 0 and (objective - new_objective) / objective <= KMEANS_REL_TOL
         ):
@@ -273,8 +271,7 @@ def normalized_cuts(w, k: int, seed: int = 0, restarts: int = 20) -> Labeling:
     labels = clustered.labels.copy()
     if isolated.size:
         connected = np.setdiff1d(np.arange(n), isolated)
-        pool = labels[connected] if connected.size else labels
-        counts = np.bincount(pool, minlength=k)
+        counts = np.bincount(labels[connected], minlength=k)
         labels[isolated] = int(counts.argmax())
     return Labeling(
         labels, k, eigen_tie=bool(eigen_tie), zero_degree=tuple(int(i) for i in isolated)

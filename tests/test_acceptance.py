@@ -144,15 +144,15 @@ def test_criterion_6_end_to_end_recovery():
 
 
 def test_criterion_7_ebd_condition_suite():
-    """Permutation invariance, diagonal-block dominance and additivity
-    match every criterion's expected flags on 200 seeded trials; rank
-    fails dominance and leaves a counterexample."""
+    """Every criterion fails exactly its expected conditions among
+    permutation invariance, diagonal-block dominance and additivity on 200
+    seeded trials; rank fails dominance and leaves a counterexample."""
     suite = metrics.ebd_conditions_suite(trials=200, seed=31)
     failures = [row["criterion"] for row in suite["results"] if not row["ok"]]
     verdict(
         "criterion-7 ebd condition suite",
         suite["passed"],
-        f"unexpected flags or missing witness: {failures}",
+        f"unexpected failed conditions: {failures}",
     )
 
 

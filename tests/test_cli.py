@@ -338,7 +338,7 @@ class TestCheck:
         # rank's expected dominance failure is reported with its witness:
         # off-block mass that does not raise the rank
         rank = ebd_rows["rank"]
-        assert rank["ok"] and rank["actual"] == [True, False, True]
+        assert rank["ok"] and rank["expected"] == ["dominance"]
         assert set(rank["counterexamples"]) == {"dominance"}
         witness = rank["counterexamples"]["dominance"]
         assert witness["f_z"] <= witness["f_zd"] + 1e-12
@@ -346,7 +346,7 @@ class TestCheck:
 
     def test_l1_criterion_passes(self, ebd_rows):
         l1 = ebd_rows["l1"]
-        assert l1["ok"] and l1["actual"] == [True, True, True]
+        assert l1["ok"] and l1["expected"] == []
         assert l1["counterexamples"] == {}
 
     def test_frobenius_row_carries_additivity_witness(self, ebd_rows):

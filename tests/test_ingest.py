@@ -167,7 +167,7 @@ class TestWriteCsv:
 
     def test_plain_array_with_labels(self, tmp_path):
         path = tmp_path / "x.csv"
-        ingest.write_csv(np.eye(2), path, labels=[1, 0])
+        ingest.write_csv(DataMatrix(np.eye(2), labels=[1, 0]), path)
         loaded = ingest.load_csv(path)
         assert np.array_equal(loaded.labels, [1, 0])
 
@@ -178,7 +178,7 @@ class TestWriteCsv:
             [0.1, 1 / 3, 2 / 3, 1234567.8901234567],
         ])
         path = tmp_path / "x.csv"
-        ingest.write_csv(x, path, labels=[0, 1, 1, 2])
+        ingest.write_csv(DataMatrix(x, labels=[0, 1, 1, 2]), path)
         expected = [",".join(format(v, ".17g") for v in row) for row in x] + ["#labels,0,1,1,2"]
         assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 

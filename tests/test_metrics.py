@@ -164,40 +164,52 @@ class TestViolationOnAffinity:
             metrics.block_diag_violation(z, data.labels), abs=1e-12
         )
 
+    @pytest.mark.parametrize("build", ["build_affinity", "affinity_in_place"])
+    def test_affinity_is_scored_as_its_array_without_rescan(self, build, monkeypatch):
+        data, _ = datagen.generate(datagen.SubspaceSpec(
+            ambient_dim=10, subspace_dims=(2, 3), samples_per_subspace=(8, 9),
+            noise_sigma=0.05, seed=4,
+        ))
+        coeffs = solvers.lsr1(data, 1e-2)
+        if build == "build_affinity":
+            affinity = spectral.build_affinity(coeffs)
+        else:
+            affinity = spectral.affinity_in_place(coeffs)
+        expected = metrics.block_diag_violation(affinity.w.copy(), data.labels)
+        assert expected > 0
+
+        def no_rescan(*args, **kwargs):
+            raise AssertionError("an Affinity's W was re-validated")
+
+        monkeypatch.setattr(metrics.linalg, "as_matrix", no_rescan)
+        assert metrics.block_diag_violation(affinity, data.labels) == expected
+
 
 class TestEbdConditions:
     def test_l1_passes_all(self):
-        res = metrics.check_ebd(metrics.l1_norm, trials=100, seed=0)
-        assert res.passes()
-        assert res.counterexamples == {}
+        assert metrics.check_ebd(metrics.l1_norm, trials=100, seed=0) == {}
 
     def test_frobenius_sq_passes_all(self):
-        assert metrics.check_ebd(metrics.frobenius_norm_sq, trials=100, seed=1).passes()
+        assert metrics.check_ebd(metrics.frobenius_norm_sq, trials=100, seed=1) == {}
 
     def test_nuclear_passes_all(self):
-        assert metrics.check_ebd(metrics.nuclear_norm, trials=100, seed=2).passes()
+        assert metrics.check_ebd(metrics.nuclear_norm, trials=100, seed=2) == {}
 
     def test_msr_passes_all(self):
         f, nonnegative, _ = metrics.EBD_TABLE["msr"]
-        assert metrics.check_ebd(f, trials=100, seed=3, nonnegative=nonnegative).passes()
+        assert metrics.check_ebd(f, trials=100, seed=3, nonnegative=nonnegative) == {}
 
     def test_gram_l1_passes_on_nonnegative(self):
-        res = metrics.check_ebd(metrics.gram_l1, trials=100, seed=4, nonnegative=True)
-        assert res.passes()
+        assert metrics.check_ebd(metrics.gram_l1, trials=100, seed=4, nonnegative=True) == {}
 
     def test_frobenius_fails_only_additivity(self):
-        res = metrics.check_ebd(metrics.frobenius_norm, trials=100, seed=5)
-        assert res.permutation_invariance_pass
-        assert res.diagonal_dominance_pass
-        assert not res.additivity_pass
-        assert "additivity" in res.counterexamples
+        found = metrics.check_ebd(metrics.frobenius_norm, trials=100, seed=5)
+        assert set(found) == {"additivity"}
 
     def test_rank_fails_dominance_with_witness(self):
-        res = metrics.check_ebd(metrics.rank_criterion, trials=100, seed=6)
-        assert res.permutation_invariance_pass
-        assert not res.diagonal_dominance_pass
-        assert res.additivity_pass
-        witness = res.counterexamples["dominance"]
+        found = metrics.check_ebd(metrics.rank_criterion, trials=100, seed=6)
+        assert set(found) == {"dominance"}
+        witness = found["dominance"]
         z = np.asarray(witness["z"])
         # replay the witness: equal criterion values despite off-block mass
         n1 = next(
@@ -209,18 +221,28 @@ class TestEbdConditions:
         assert witness["f_z"] <= witness["f_zd"] + 1e-12
 
     def test_power_criterion_additivity_fails_for_sqrt(self):
-        res = metrics.check_ebd(metrics.power_criterion(2.0, 0.5), trials=60, seed=7)
-        assert res.permutation_invariance_pass
-        assert res.diagonal_dominance_pass
-        assert not res.additivity_pass
+        found = metrics.check_ebd(metrics.power_criterion(2.0, 0.5), trials=60, seed=7)
+        assert set(found) == {"additivity"}
 
     def test_power_criterion_passes_when_unscaled(self):
-        res = metrics.check_ebd(metrics.power_criterion(0.5), trials=60, seed=8)
-        assert res.passes()
+        assert metrics.check_ebd(metrics.power_criterion(0.5), trials=60, seed=8) == {}
 
     def test_witness_is_json_serializable(self):
-        res = metrics.check_ebd(metrics.rank_criterion, trials=20, seed=9)
-        json.dumps(res.to_dict())
+        found = metrics.check_ebd(metrics.rank_criterion, trials=20, seed=9)
+        assert "dominance" in json.loads(json.dumps(found))
+
+    def test_unexpected_row_is_the_suite_witness(self, monkeypatch):
+        # expect l1 to fail additivity: its row is no longer ok, and the
+        # suite fails with that row, empty counterexamples and all
+        table = dict(metrics.EBD_TABLE)
+        f, nonnegative, _ = table["l1"]
+        table["l1"] = (f, nonnegative, ["additivity"])
+        monkeypatch.setattr(metrics, "EBD_TABLE", table)
+        suite = metrics.ebd_conditions_suite(trials=30, seed=0)
+        assert not suite["passed"]
+        assert [row["criterion"] for row in suite["results"] if not row["ok"]] == ["l1"]
+        assert suite["witness"] == {"criterion": "l1", "expected": ["additivity"],
+                                    "counterexamples": {}, "ok": False}
 
     def test_survey_script_smoke(self, monkeypatch, capsys):
         run_script("ebd_survey", monkeypatch, "--trials", "5")

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -391,7 +392,7 @@ class TestGramOverflow:
 # keyword knobs that no caller set to anything but their default, now
 # constants (linalg.SV_CUTOFF, FEASIBILITY_TOL, always zeroing the constrained
 # diagonal, always checking additivity, GROUPING_SLACK_TOL, never centering
-# before PCA)
+# before PCA), and check_ebd's name, read only by the retired EBDCheckResult
 @pytest.mark.parametrize("function, parameter", [
     (solvers.lsr_constrained, "sv_tol"),
     (solvers.lsr_constrained, "tol"),
@@ -399,12 +400,18 @@ class TestGramOverflow:
     (linalg.pseudo_inverse, "tol"),
     (linalg.matrix_rank, "tol"),
     (metrics.check_ebd, "check_additivity"),
-    (metrics.EBDCheckResult.passes, "require_additivity"),
+    (metrics.check_ebd, "name"),
     (metrics.GroupingEffectSummary.bound_holds, "tol"),
     (ingest.pca_project, "center"),
 ])
 def test_retired_keyword_is_gone(function, parameter):
     assert parameter not in inspect.signature(function).parameters
+
+
+def test_retired_ebd_result_and_summary_lam_are_gone():
+    # check_ebd returns its counterexamples; the summary no longer echoes z.lam
+    assert not hasattr(metrics, "EBDCheckResult")
+    assert "lam" not in {f.name for f in dataclasses.fields(metrics.GroupingEffectSummary)}
 
 
 class TestLambdaValidation:
