@@ -5,15 +5,14 @@ emits a coefficient matrix, ``segment`` runs the full pipeline and ``check``
 machine-verifies the structural claims.
 
 Every option is one ``RunConfig`` field: its flag (``--pca-dim``), its
-environment variable (``LSRSEG_PCA_DIM``), its --config key, its parser
-(from the field's annotation), its range (choices or a lower bound) and
-the subcommands that take it all derive from that field; ``lam`` is
-spelled ``--lambda``/``LSRSEG_LAMBDA``. A subcommand reads the environment
-variables and config keys of its own options only and ignores the rest.
-Every run writes its fully resolved configuration (defaults, presets and
-seed included) next to the results; rerunning from that file reproduces
-the outputs except for timings. Option resolution order is: explicit flag,
---config file, LSRSEG_* environment variable, preset, builtin default.
+--config key, its parser (from the field's annotation), its range (choices
+or a lower bound) and the subcommands that take it all derive from that
+field; ``lam`` is spelled ``--lambda``. A subcommand reads the config keys
+of its own options only and ignores the rest. Every run writes its fully
+resolved configuration (defaults, presets and seed included) next to the
+results; rerunning from that file reproduces the outputs except for
+timings. Option resolution order is: explicit flag, --config file, preset,
+builtin default.
 ``check`` runs the claim suites of ``metrics`` at their fixed tolerances,
 the same functions the acceptance tests call.
 Exit codes: 0 ok, 1 I/O, 2 configuration, 3 numeric failure, 4 check failed.
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 import types
@@ -36,7 +34,6 @@ import numpy as np
 
 from . import __version__, datagen, ingest, linalg, metrics, solvers, spectral
 
-ENV_PREFIX = "LSRSEG_"
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CONFIG = 2
@@ -60,9 +57,9 @@ class ConfigError(ValueError):
 
 
 def _option(default, *commands: str, choices: tuple | None = None, minimum: int | None = None):
-    """A RunConfig field that is also an option of ``commands``: a flag, an
-    LSRSEG_* environment variable and a --config key, all read with the cast
-    of its annotation and held to ``choices`` and to ``minimum``."""
+    """A RunConfig field that is also an option of ``commands``: a flag and a
+    --config key, both read with the cast of its annotation and held to
+    ``choices`` and to ``minimum``."""
     metadata = {"commands": commands, "choices": choices, "minimum": minimum}
     return field(default=default, metadata=metadata)
 
@@ -150,7 +147,7 @@ def _options(command: str) -> list:
     return [f for f in fields(RunConfig) if command in f.metadata.get("commands", ())]
 
 
-# Flags and env names spell the field name, except --lambda / LSRSEG_LAMBDA.
+# Flags spell the field name, except --lambda.
 _RENAMED = {"lam": "lambda"}
 
 
@@ -158,13 +155,9 @@ def _flag(name: str) -> str:
     return "--" + _RENAMED.get(name, name).replace("_", "-")
 
 
-def _env_value(name: str):
-    return os.environ.get(ENV_PREFIX + _RENAMED.get(name, name).upper())
-
-
 def _cast(name: str, raw):
-    """Parse an env or --config value as its flag's text would be parsed;
-    a JSON list is one integer list."""
+    """Parse a --config value as its flag's text would be parsed; a JSON
+    list is one integer list."""
     try:
         return _CASTS[name](raw if isinstance(raw, list) else str(raw))
     except (TypeError, ValueError) as exc:
@@ -180,13 +173,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"{args.config} holds no configuration object")
 
     def given(name: str):
-        """The flag, else --config, else environment value of an option."""
+        """The flag, else --config value of an option."""
         value = getattr(args, name, None)
         if value is not None:
             return value
         raw = stored.get(name)
-        if raw is None:
-            raw = _env_value(name)
         return None if raw is None else _cast(name, raw)
 
     values = {f.name: given(f.name) for f in _options(args.command)}
@@ -319,12 +310,11 @@ def run_segmentation(cfg: RunConfig) -> metrics.SegmentationReport:
     times["cluster"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    truth_available = data.labels is not None
     error_rate, mapping = None, None
-    if truth_available:
+    if data.labels is not None:
         error_rate, mapping = metrics.align_clusters(labeling, data.labels)
     violation = metrics.block_diag_violation(
-        affinity, data.labels if truth_available else labeling.labels
+        affinity, labeling.labels if data.labels is None else data.labels
     )
     times["metrics"] = time.perf_counter() - t0
 
@@ -336,7 +326,6 @@ def run_segmentation(cfg: RunConfig) -> metrics.SegmentationReport:
         n_samples=data.n_samples,
         n_clusters=k,
         predicted_labels=[int(v) for v in labeling.labels],
-        truth_available=truth_available,
         degenerate_affinity=labeling.degenerate,
         eigen_tie=labeling.eigen_tie,
         zero_degree=labeling.zero_degree,

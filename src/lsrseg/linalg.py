@@ -119,9 +119,14 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(as_matrix(a), compute_uv=False)
 
 
-def matrix_rank(a) -> int:
-    """Numeric rank: number of singular values above SV_CUTOFF*sigma_max."""
-    s = singular_values(a)
+def numeric_rank(s: np.ndarray) -> int:
+    """The rank cut: how many of the descending singular values `s` exceed
+    SV_CUTOFF*s[0], or 0 when s[0] is 0."""
     if s[0] <= 0.0:
         return 0
     return int(np.count_nonzero(s > SV_CUTOFF * s[0]))
+
+
+def matrix_rank(a) -> int:
+    """Numeric rank: number of singular values above SV_CUTOFF*sigma_max."""
+    return numeric_rank(singular_values(a))

@@ -48,7 +48,9 @@ class SegmentationReport:
 
     ``block_diag_violation`` is measured on the affinity W = (|Z| + |Z^T|) / 2:
     in exact arithmetic it equals Z's cross-label share of the mass, since
-    the mirror of a cross-label pair is one too.
+    the mirror of a cross-label pair is one too. Without ground-truth labels,
+    ``error_rate`` and ``aligned_permutation`` are None and the violation is
+    scored against the predicted labels.
     """
 
     error_rate: float | None
@@ -58,7 +60,6 @@ class SegmentationReport:
     n_samples: int = 0
     n_clusters: int = 0
     predicted_labels: list[int] = field(default_factory=list)
-    truth_available: bool = False
     degenerate_affinity: bool = False
     eigen_tie: bool = False
     zero_degree: tuple[int, ...] = field(default_factory=tuple)

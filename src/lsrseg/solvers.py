@@ -71,7 +71,6 @@ class Coefficients:
     z: np.ndarray
     lam: float
     variant: str
-    diag_constrained: bool
 
     def __post_init__(self):
         self.z = linalg.as_matrix(self.z, name="coefficient matrix")
@@ -81,6 +80,11 @@ class Coefficients:
             raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
         if self.diag_constrained and np.any(np.diag(self.z) != 0.0):
             raise ValueError("diagonal must be exactly zero when diag-constrained")
+
+    @property
+    def diag_constrained(self) -> bool:
+        """Whether diag(Z) = 0 is enforced: true for every variant but lsr2."""
+        return self.variant != LSR2
 
     @property
     def n(self) -> int:
@@ -126,9 +130,9 @@ def lsr_constrained(x) -> Coefficients:
 
     Z = -Q diag(Q)^{-1} with a zeroed diagonal, where Q = N N^T projects
     onto null(X) and N holds the trailing right singular vectors of one SVD,
-    past the singular values above ``linalg.SV_CUTOFF`` times the largest.
-    N N^T is used rather than I - V_r V_r^T, whose cancellation loses
-    accuracy on near-singular data.
+    past the singular values above ``linalg.SV_CUTOFF`` times the largest
+    (``linalg.numeric_rank``). N N^T is used rather than I - V_r V_r^T,
+    whose cancellation loses accuracy on near-singular data.
 
     A nonzero column the closed form does not fit to a relative residual of
     FEASIBILITY_TOL (one only approximately in the span of the others) is
@@ -143,8 +147,7 @@ def lsr_constrained(x) -> Coefficients:
     mat = data_array(x)
     n = mat.shape[1]
     _, s, vt = np.linalg.svd(mat, full_matrices=True)
-    rank = int(np.count_nonzero(s > linalg.SV_CUTOFF * s[0])) if s[0] > 0 else 0
-    null_basis = vt[rank:]
+    null_basis = vt[linalg.numeric_rank(s):]
     z = _zero_diag_rescale(null_basis.T @ null_basis)
     del vt, null_basis  # release the n x n singular vectors before the gate
     mat = np.ldexp(mat, -np.frexp(s[0])[1])
@@ -163,7 +166,7 @@ def lsr_constrained(x) -> Coefficients:
         if residual > FEASIBILITY_TOL:
             raise InfeasibleColumn(int(i), residual)
         z[keep, i] = zi
-    return Coefficients(z, 0.0, CONSTRAINED, True)
+    return Coefficients(z, 0.0, CONSTRAINED)
 
 
 def _gram(a: np.ndarray, name: str) -> np.ndarray:
@@ -236,7 +239,7 @@ def lsr1(x, lam: float) -> Coefficients:
     m, thin = _ridge_inverse(x, lam)
     if thin:
         m = _identity_minus(m, 1.0)
-    return Coefficients(_zero_diag_rescale(m), lam, LSR1, True)
+    return Coefficients(_zero_diag_rescale(m), lam, LSR1)
 
 
 def lsr2(x, lam: float) -> Coefficients:
@@ -246,7 +249,7 @@ def lsr2(x, lam: float) -> Coefficients:
     m, thin = _ridge_inverse(x, lam)
     if not thin:
         m = _identity_minus(m, lam)
-    return Coefficients(m, lam, LSR2, False)
+    return Coefficients(m, lam, LSR2)
 
 
 def column_oracle_ridge(x, lam: float, zero_diag: bool = True) -> Coefficients:
@@ -271,4 +274,4 @@ def column_oracle_ridge(x, lam: float, zero_diag: bool = True) -> Coefficients:
         z[keep, i] = linalg.solve_spd(
             gram[np.ix_(keep, keep)] + lam * np.eye(m), gram[keep, i]
         )
-    return Coefficients(z, lam, LSR1 if zero_diag else LSR2, zero_diag)
+    return Coefficients(z, lam, LSR1 if zero_diag else LSR2)

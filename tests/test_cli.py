@@ -180,6 +180,27 @@ class TestSegment:
         assert a["report"]["error_rate"] == b["report"]["error_rate"]
         assert b["config"]["pca_dim"] == 6
 
+    def test_replay_is_fixed_by_the_file(self, dataset, tmp_path, monkeypatch):
+        # k and pca_dim resolve to null; LSRSEG_* variables change neither
+        # the replay of those nulls nor any exit code
+        out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run("segment", "--input", dataset, "--output", out_a,
+                   "--solver", "lsr1", "--lambda", 0.01) == cli.EXIT_OK
+        for name, value in {"K": "2", "PCA_DIM": "2", "LAMBDA": "0.5", "SEED": "7",
+                            "SOLVER": "bogus"}.items():
+            monkeypatch.setenv("LSRSEG_" + name, value)
+        assert run("segment", "--config", out_a, "--output", out_b) == cli.EXIT_OK
+        a = json.loads(out_a.read_text())
+        b = json.loads(out_b.read_text())
+        assert (a["config"]["k"], a["config"]["pca_dim"]) == (None, None)
+        for payload in (a, b):
+            payload["config"].pop("output")
+        assert a["config"] == b["config"]
+        assert a["report"]["predicted_labels"] == b["report"]["predicted_labels"]
+        assert a["report"]["error_rate"] == b["report"]["error_rate"]
+        # no --solver: the default lsr1 runs, whatever LSRSEG_SOLVER says
+        assert run("segment", "--input", dataset, "--lambda", 0.01) == cli.EXIT_OK
+
     def test_bare_config_matches_flags(self, dataset, tmp_path):
         # a bare config gives the Z and labels of the same options as flags
         path = tmp_path / "bare.json"
@@ -297,10 +318,11 @@ class TestExitCodes:
                    "--lambda", 0.01) == cli.EXIT_NUMERIC
         assert "Lanczos eigensolve: ARPACK error -1: No convergence" in capsys.readouterr().err
 
-    def test_unknown_preset_is_config_error(self, dataset, monkeypatch):
-        monkeypatch.setenv("LSRSEG_PRESET", "not-a-preset")
-        assert run("segment", "--input", dataset, "--solver", "lsr1",
-                   "--lambda", 0.1) == cli.EXIT_CONFIG
+    def test_unknown_preset_is_config_error(self, dataset):
+        with pytest.raises(SystemExit) as exc:
+            run("segment", "--input", dataset, "--solver", "lsr1", "--lambda", 0.1,
+                "--preset", "not-a-preset")
+        assert exc.value.code == cli.EXIT_CONFIG
 
     def test_infeasible_data_is_numeric_error(self, tmp_path):
         # one sample in a 2-D subspace: constrained solver must refuse
@@ -373,23 +395,9 @@ class TestCheck:
 
 
 class TestEnvOverrides:
-    def test_lambda_env(self, dataset, tmp_path, monkeypatch):
-        monkeypatch.setenv("LSRSEG_LAMBDA", "0.25")
-        out = tmp_path / "z.csv"
-        assert run("solve", "--input", dataset, "--output", out,
-                   "--solver", "lsr2") == cli.EXIT_OK
-        meta = json.loads((tmp_path / "z.csv.meta.json").read_text())
-        assert meta["config"]["lam"] == 0.25
+    """Presets, the layer under flags and --config."""
 
-    def test_flag_beats_env(self, dataset, tmp_path, monkeypatch):
-        monkeypatch.setenv("LSRSEG_LAMBDA", "0.25")
-        out = tmp_path / "z.csv"
-        assert run("solve", "--input", dataset, "--output", out,
-                   "--solver", "lsr2", "--lambda", 0.5) == cli.EXIT_OK
-        meta = json.loads((tmp_path / "z.csv.meta.json").read_text())
-        assert meta["config"]["lam"] == 0.5
-
-    def test_preset_sets_solver_lambda_pca(self, monkeypatch):
+    def test_preset_sets_solver_lambda_pca(self):
         parser = cli.build_parser()
         args = parser.parse_args(["segment", "--input", "x.csv",
                                   "--preset", "hopkins-lsr1"])
@@ -415,9 +423,9 @@ SUBCOMMAND_FLAGS = {
     "check": {"--output", "--seed", "--trials"},
 }
 
-# field -> (text of its flag, LSRSEG_* variable or config value, resolved
-# value); the value's type is the field's
-ENV_SAMPLES = {
+# field -> (text of its flag or config value, resolved value); the value's
+# type is the field's
+OPTION_SAMPLES = {
     "input": ("in.csv", "in.csv"),
     "output": ("out.json", "out.json"),
     "solver": ("lsr2", "lsr2"),
@@ -452,10 +460,6 @@ def resolve(*argv):
     return cli._resolve_config(cli.build_parser().parse_args([str(a) for a in argv]))
 
 
-def env_name(name):
-    return "LSRSEG_" + ("LAMBDA" if name == "lam" else name.upper())
-
-
 def write_config(tmp_path, stored):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"config": stored}))
@@ -482,26 +486,27 @@ class TestOptionLayer:
         assert table == parser_flags()
 
     def test_every_option_has_an_env_sample(self):
+        # every option has a sample in OPTION_SAMPLES
         names = [f.name for f in dataclasses.fields(cli.RunConfig) if f.name != "command"]
-        assert sorted(ENV_SAMPLES) == sorted(names)
+        assert sorted(OPTION_SAMPLES) == sorted(names)
         assert len(names) + 1 == 18
 
-    @pytest.mark.parametrize("name", sorted(ENV_SAMPLES))
+    @pytest.mark.parametrize("name", sorted(OPTION_SAMPLES))
     def test_env_reaches_config_with_field_type(self, name, monkeypatch, tmp_path):
-        # The env variable, the flag and the config value each reach the
-        # field with its type, under every subcommand that takes the option.
-        text, expected = ENV_SAMPLES[name]
+        # The flag and the config value each reach the field with its type,
+        # under every subcommand that takes the option; the environment
+        # reaches no field.
+        text, expected = OPTION_SAMPLES[name]
         flag = [cli._flag(name)] + ([] if expected is True else [text])
         config = write_config(tmp_path, {name: text})
         commands = [c for c, flags in SUBCOMMAND_FLAGS.items() if cli._flag(name) in flags]
         assert commands
+        monkeypatch.setenv("LSRSEG_" + cli._flag(name)[2:].replace("-", "_").upper(), text)
         for command in commands:
-            monkeypatch.setenv(env_name(name), text)
-            from_env = getattr(resolve(command), name)
-            monkeypatch.delenv(env_name(name))
+            assert getattr(resolve(command), name) == getattr(cli.RunConfig(command), name)
             from_flag = getattr(resolve(command, *flag), name)
             from_config = getattr(resolve(command, "--config", config), name)
-            for value in (from_env, from_flag, from_config):
+            for value in (from_flag, from_config):
                 assert value == expected
                 assert type(value) is type(expected)
 
@@ -520,24 +525,27 @@ class TestOptionLayer:
         {"lam": "zero"}, {"lam": [0.1]}, {"k": "2.5"}, {"k": 2.5}, {"seed": True},
         {"dims": [2.5, 2]}, [], {"dims": [1, "", 1]},
     ])
-    def test_bad_config_file_value_is_config_error(self, stored, tmp_path, monkeypatch):
+    def test_bad_config_file_value_is_config_error(self, stored, tmp_path, capsys):
         # Run under a subcommand that takes the option. Without the bad
-        # value either run exits 1: segment's input is absent, and synth,
-        # with LSRSEG_DIMS in place of the config's dims, writes into an
-        # absent directory.
+        # value segment exits 1, as its input is absent, while synth exits 2
+        # for its missing dims; the message names the bad value.
         if "dims" in stored:
-            monkeypatch.setenv("LSRSEG_DIMS", "1,1")
             args = ["synth", "--output", tmp_path / "absent" / "d.csv",
                     "--ambient-dim", 6, "--samples", "3,3"]
         else:
             args = ["segment", "--input", tmp_path / "absent.csv"]
         path = write_config(tmp_path, stored)
         assert run(*args, "--config", path) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        if stored:
+            assert f"bad {next(iter(stored))} value" in err
+        else:
+            assert "holds no configuration object" in err
 
     @pytest.mark.parametrize("name, text", [
         ("dims", "1,,1"), ("samples", "3,3,"), ("dims", "1, ,1"),
     ])
-    def test_empty_list_item_is_config_error(self, name, text, monkeypatch, tmp_path):
+    def test_empty_list_item_is_config_error(self, name, text, tmp_path):
         # Dropping the empty item would run synth on a shorter tuple, exit 0.
         lists = {"dims": "1,1", "samples": "3,3"}
         args = ["synth", "--output", tmp_path / "d.csv", "--ambient-dim", 6]
@@ -549,18 +557,18 @@ class TestOptionLayer:
         assert exc.value.code == cli.EXIT_CONFIG
         path = write_config(tmp_path, {name: text})
         assert run(*args, "--config", path) == cli.EXIT_CONFIG
-        monkeypatch.setenv(env_name(name), text)
-        assert run(*args) == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize("text", ["ture", "", "2"])
-    def test_bad_bool_env_is_config_error(self, text, monkeypatch, tmp_path):
-        monkeypatch.setenv("LSRSEG_NORMALIZE_COLUMNS", text)
-        assert run("segment", "--input", tmp_path / "absent.csv") == cli.EXIT_CONFIG
+    def test_bad_bool_env_is_config_error(self, text, tmp_path):
+        # a config boolean that does not parse; without it the run exits 1
+        path = write_config(tmp_path, {"normalize_columns": text})
+        assert run("segment", "--input", tmp_path / "absent.csv",
+                   "--config", path) == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize("name, command", [
         ("solver", "segment"), ("mode", "synth"), ("preset", "solve"),
     ])
-    def test_bad_choice_is_config_error(self, name, command, monkeypatch, tmp_path):
+    def test_bad_choice_is_config_error(self, name, command, tmp_path):
         # Without the bad value these runs would exit 1 (segment, solve: no
         # such input) or 0 (synth).
         args = {
@@ -574,8 +582,6 @@ class TestOptionLayer:
         assert exc.value.code == cli.EXIT_CONFIG
         path = write_config(tmp_path, {name: "bogus"})
         assert run(command, *args, "--config", path) == cli.EXIT_CONFIG
-        monkeypatch.setenv("LSRSEG_" + name.upper(), "bogus")
-        assert run(command, *args) == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize("command, name, text", [
         ("segment", "pca_dim", "0"), ("solve", "pca_dim", "0"),
@@ -583,8 +589,7 @@ class TestOptionLayer:
         ("segment", "k", "0"), ("segment", "restarts", "0"),
         ("check", "seed", "-1"), ("segment", "lam", "inf"),
     ])
-    def test_out_of_range_is_config_error(self, command, name, text, monkeypatch,
-                                          tmp_path):
+    def test_out_of_range_is_config_error(self, command, name, text, tmp_path):
         # segment and solve would exit 1 without the bad value (no such
         # input), synth with a valid ambient dim in its place (no such
         # output directory); check would run.
@@ -599,17 +604,13 @@ class TestOptionLayer:
         assert run(command, *args, cli._flag(name), text) == cli.EXIT_CONFIG
         path = write_config(tmp_path, {name: text})
         assert run(command, *args, "--config", path) == cli.EXIT_CONFIG
-        monkeypatch.setenv(env_name(name), text)
-        assert run(command, *args) == cli.EXIT_CONFIG
 
-    def test_options_a_subcommand_does_not_take_are_ignored(self, dataset, tmp_path,
-                                                            monkeypatch):
-        monkeypatch.setenv("LSRSEG_LAMBDA", "0")
-        assert run("check", "--trials", 10) == cli.EXIT_OK
-        monkeypatch.setenv("LSRSEG_SOLVER", "bogus")
+    def test_options_a_subcommand_does_not_take_are_ignored(self, dataset, tmp_path):
+        path = write_config(tmp_path, {"lam": 0})
+        assert run("check", "--trials", 10, "--config", path) == cli.EXIT_OK
+        path = write_config(tmp_path, {"solver": "bogus"})
         assert run("synth", "--output", tmp_path / "d.csv", "--ambient-dim", 6,
-                   "--dims", "1,1", "--samples", "3,3") == cli.EXIT_OK
-        monkeypatch.delenv("LSRSEG_SOLVER")
+                   "--dims", "1,1", "--samples", "3,3", "--config", path) == cli.EXIT_OK
         # a run written before the solver tolerances stopped being options
         path = write_config(tmp_path, {
             "command": "segment", "input": str(dataset), "solver": "lsr1", "lam": 1e-3,

@@ -425,19 +425,24 @@ class TestReportSerialization:
             n_samples=40,
             n_clusters=2,
             predicted_labels=[0] * 20 + [1] * 20,
-            truth_available=True,
         )
-        payload = json.dumps(report.to_dict())
-        assert json.loads(payload)["error_rate"] == 0.05
+        payload = json.loads(json.dumps(report.to_dict()))
+        assert payload["error_rate"] == 0.05
+        # whether truth was available is stated once, by error_rate
+        assert "truth_available" not in payload
 
 
 class TestClaimSuites:
     def test_oracle_suite_flags_a_perturbed_solver(self, monkeypatch):
         exact = solvers.lsr1
-        monkeypatch.setattr(
-            solvers, "lsr1",
-            lambda x, lam: solvers.Coefficients(exact(x, lam).z + 1e-6, lam, "lsr1", False),
-        )
+
+        def perturbed(x, lam):
+            z = exact(x, lam).z
+            z += 1e-6
+            np.fill_diagonal(z, 0.0)
+            return solvers.Coefficients(z, lam, solvers.LSR1)
+
+        monkeypatch.setattr(solvers, "lsr1", perturbed)
         suite = metrics.oracle_equivalence_suite(trials=3, seed=0)
         assert not suite["passed"]
         assert suite["max_gap"] == pytest.approx(1e-6, rel=1e-3)
@@ -451,7 +456,7 @@ class TestClaimSuites:
         def skewed(x, lam):
             z = exact(x, lam).z
             z[1] += 0.5 * metrics.GROUPING_SLACK_TOL
-            return solvers.Coefficients(z, lam, solvers.LSR2, False)
+            return solvers.Coefficients(z, lam, solvers.LSR2)
 
         monkeypatch.setattr(solvers, "lsr2", skewed)
         suite = metrics.grouping_bound_suite(trials=4, seed=0)
@@ -468,7 +473,7 @@ class TestClaimSuites:
         def broken(x, lam):
             z = exact(x, lam).z
             z[0, 1:] += 1e6
-            return solvers.Coefficients(z, lam, solvers.LSR1, True)
+            return solvers.Coefficients(z, lam, solvers.LSR1)
 
         monkeypatch.setattr(solvers, "lsr1", broken)
         suite = metrics.grouping_bound_suite(trials=4, seed=0)
@@ -483,7 +488,7 @@ class TestClaimSuites:
         monkeypatch.setattr(
             solvers, "lsr_constrained",
             lambda data: solvers.Coefficients(
-                np.ones((data.n_samples,) * 2), 0.0, "constrained", False
+                1.0 - np.eye(data.n_samples), 0.0, solvers.CONSTRAINED
             ),
         )
         suite = metrics.block_diagonality_suite(trials=2, seed=0)

@@ -414,6 +414,19 @@ def test_retired_ebd_result_and_summary_lam_are_gone():
     assert "lam" not in {f.name for f in dataclasses.fields(metrics.GroupingEffectSummary)}
 
 
+def test_diag_constrained_follows_variant():
+    # the diagonal rule is read off the variant, not passed beside it
+    x = np.random.default_rng(5).standard_normal((3, 8))
+    outputs = [solvers.lsr_constrained(x), solvers.lsr1(x, 0.1), solvers.lsr2(x, 0.1),
+               solvers.column_oracle_ridge(x, 0.1),
+               solvers.column_oracle_ridge(x, 0.1, zero_diag=False)]
+    assert [(c.variant, c.diag_constrained) for c in outputs] == [
+        (solvers.CONSTRAINED, True), (solvers.LSR1, True), (solvers.LSR2, False),
+        (solvers.LSR1, True), (solvers.LSR2, False),
+    ]
+    assert "diag_constrained" not in inspect.signature(solvers.Coefficients).parameters
+
+
 class TestLambdaValidation:
     @pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan, 0.0, -1.0])
     @pytest.mark.parametrize("solver", LAMBDA_SOLVERS)
@@ -504,15 +517,15 @@ class TestCoefficients:
 
     def test_diag_constraint_enforced(self):
         with pytest.raises(ValueError, match="diagonal"):
-            solvers.Coefficients(np.ones((2, 2)), 0.1, solvers.LSR1, True)
+            solvers.Coefficients(np.ones((2, 2)), 0.1, solvers.LSR1)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            solvers.Coefficients(np.ones((2, 3)), 0.1, solvers.LSR2, False)
+            solvers.Coefficients(np.ones((2, 3)), 0.1, solvers.LSR2)
 
     @pytest.mark.parametrize("lam", [-0.1, np.nan, np.inf])
     def test_rejects_negative_or_non_finite_lambda(self, lam):
         # a NaN lam would make every grouping bound sqrt(2(1 - r)) / lam NaN,
         # and the bound check would pass whatever Z holds
         with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
-            solvers.Coefficients(np.eye(3), lam, solvers.LSR2, False)
+            solvers.Coefficients(np.eye(3), lam, solvers.LSR2)

@@ -65,7 +65,7 @@ class TestAffinity:
         reference = (np.abs(z) + np.abs(z).T) / 2.0
         assert np.array_equal(spectral.build_affinity(z).w, reference)
         assert np.array_equal(z, original)
-        coeffs = solvers.Coefficients(z, lam=0.0, variant="given", diag_constrained=False)
+        coeffs = solvers.Coefficients(z, lam=0.0, variant=solvers.LSR2)
         affinity = spectral.affinity_in_place(coeffs)
         assert affinity.w is z and np.array_equal(z, reference)
 
