@@ -172,12 +172,15 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(stored, dict):
             raise ConfigError(f"{args.config} holds no configuration object")
 
+    # a --preset flag is a flag: it outranks the file for the fields it sets
+    flag_preset = PRESETS.get(getattr(args, "preset", None), {})
+
     def given(name: str):
-        """The flag, else --config value of an option."""
+        """The flag, else --config value of an option not set by a --preset flag."""
         value = getattr(args, name, None)
         if value is not None:
             return value
-        raw = stored.get(name)
+        raw = None if name in flag_preset else stored.get(name)
         return None if raw is None else _cast(name, raw)
 
     values = {f.name: given(f.name) for f in _options(args.command)}

@@ -3,9 +3,11 @@
 The clustering realization is the symmetric-normalized-Laplacian variant:
 embed with the k bottom eigenvectors of I - D^{-1/2} W D^{-1/2}, row-
 normalize, then run seeded k-means++ with restarts. Above a small size those
-eigenvectors are the top ones of M = D^{-1/2} W D^{-1/2}, found by Lanczos
+eigenvectors are the top k of M = D^{-1/2} W D^{-1/2}, found by Lanczos
 from products with W alone, so neither the Laplacian nor a full
-eigendecomposition is ever formed. Everything is deterministic given
+eigendecomposition is ever formed; the (k+1)-th eigenvalue, which only the
+``eigen_tie`` check reads, gets a lower bound on mu_{k+1} from a few Lanczos
+steps on M deflated by those k. Everything is deterministic given
 (affinity, k, seed, restarts).
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.linalg
 
 from . import linalg
@@ -26,12 +29,32 @@ from .solvers import Coefficients, coefficient_array
 AFFINITY_TILE = 128
 KMEANS_MAX_ITER = 300
 KMEANS_REL_TOL = 1e-9
+# eigen_tie is set when lambda_{k+1} - lambda_k < EIGEN_TIE_TOL for the
+# Laplacian's k-th and (k+1)-th eigenvalues. On the dense path both are exact.
+# On the Lanczos path lambda_{k+1} is replaced by 1 - theta >= lambda_{k+1},
+# theta <= mu_{k+1} the bound of _next_value_bound, so a tie is set only when
+# theta >= mu_k - EIGEN_TIE_TOL proves one; a near tie that the bound steps do
+# not resolve reads as no tie.
 EIGEN_TIE_TOL = 1e-12
 # Dense eigh beats Lanczos up to max(DENSE_EIGEN_MAX_N, DENSE_EIGEN_N_PER_PAIR * (k+1))
-# nodes (measured on a 2-core OpenBLAS VM for k = 2..40); the second term also
-# keeps Lanczos away from k + 1 >= n - 1, which ARPACK cannot solve.
+# nodes (measured on a 2-core OpenBLAS VM for k = 2..40, when Lanczos computed
+# k + 1 pairs); the second term also keeps Lanczos away from k >= n - 1, and
+# its recompute with k + 1 pairs from k + 1 >= n - 1, which ARPACK cannot solve.
 DENSE_EIGEN_MAX_N = 160
 DENSE_EIGEN_N_PER_PAIR = 12
+# Lanczos steps, one product with W each, that bound mu_{k+1} from below. On
+# the segment-large benchmark's W (n = 3000, k = 5), 20 steps came within 5e-4
+# of mu_{k+1} = 0.109, a bulk eigenvalue 6e-4 from mu_{k+2}, against 1.3e-3
+# after 10; ARPACK spent about 100 more products converging that eigenvector.
+LANCZOS_BOUND_STEPS = 20
+# Residual norm at which the bound steps stop: the Krylov space is invariant
+# to within it, since the eigenvalues of M lie in [-1, 1].
+LANCZOS_BREAKDOWN = 1e-10
+# A deflated ones(n) shorter than this times |ones(n)| = sqrt(n) is round-off
+# whose direction the rounding decides: ones(n) lies in the span of the top k
+# for equal cliques or a regular graph at k = 1. The bound steps then start
+# from _fallback_start instead.
+BOUND_START_REL_TOL = 1e-8
 
 
 @dataclass
@@ -69,6 +92,10 @@ class Labeling:
     ``degenerate`` flags an all-zero affinity fallback, ``eigen_tie`` a
     near-degenerate spectral gap at the cut, and ``zero_degree`` lists
     isolated nodes that were force-assigned to the largest cluster.
+    ``eigen_tie`` compares the Laplacian's exact lambda_k and lambda_{k+1} on
+    the dense path; on the Lanczos path it is set only when a Lanczos bound
+    proves the tie, so a near tie that the bound does not resolve reads as
+    no tie (see EIGEN_TIE_TOL).
     """
 
     labels: np.ndarray
@@ -207,21 +234,78 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 20) -> Labeling:
     return Labeling(best_labels, k)
 
 
-def _bottom_laplacian_eigen(mat: np.ndarray, inv_sqrt: np.ndarray, k: int) -> linalg.SymEigen:
-    """The bottom eigenpairs of L = I - M, M = D^{-1/2} W D^{-1/2}, ascending.
+def _orthogonalize(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x`` minus its projection on the orthonormal rows of ``basis``, taken
+    twice: one pass leaves round-off along them when x nearly lies in their span."""
+    for _ in range(2):
+        x = x - basis.T @ (basis @ x)
+    return x
 
-    Up to the crossover all n, by a dense ``eigh`` of L; above it only the
-    k+1 that normalized cuts uses: the top k+1 of M by Lanczos on
-    v -> s * (W (s * v)), s = diag(D^{-1/2}), mapped to 1 - lambda(M).
+
+def _fallback_start(n: int) -> np.ndarray:
+    """The bound steps' start when ones(n) lies in the span of the top k."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
+def _next_value_bound(matvec, top: np.ndarray) -> float:
+    """A lower bound theta on mu_{k+1}, the largest eigenvalue of the symmetric
+    M below the k whose orthonormal eigenvectors are the columns of ``top``.
+
+    theta is the top Ritz value of LANCZOS_BOUND_STEPS Lanczos steps on
+    (I - V V^T) M (I - V V^T), V = ``top``, reorthogonalized against V and
+    the Krylov basis at every step and ended early on breakdown. The start is
+    the deflated ones(n), or the deflated _fallback_start(n) when ones(n) lies
+    in span V to within BOUND_START_REL_TOL.
+    """
+    n, k = top.shape
+    basis = np.empty((k + LANCZOS_BOUND_STEPS, n))
+    basis[:k] = top.T
+    q = _orthogonalize(basis[:k], np.ones(n))
+    if np.linalg.norm(q) < BOUND_START_REL_TOL * np.sqrt(n):
+        q = _orthogonalize(basis[:k], _fallback_start(n))
+    alphas, betas = [], []
+    for j in range(k, basis.shape[0]):
+        basis[j] = q / np.linalg.norm(q)
+        q = matvec(basis[j])
+        alphas.append(basis[j] @ q)
+        q = _orthogonalize(basis[: j + 1], q)
+        beta = np.linalg.norm(q)
+        if beta <= LANCZOS_BREAKDOWN:
+            break
+        betas.append(beta)
+    return float(scipy.linalg.eigvalsh_tridiagonal(alphas, betas[: len(alphas) - 1])[-1])
+
+
+def _bottom_laplacian_eigen(
+    mat: np.ndarray, inv_sqrt: np.ndarray, k: int
+) -> tuple[linalg.SymEigen, float]:
+    """The k bottom eigenpairs of L = I - M, M = D^{-1/2} W D^{-1/2}, ascending,
+    and the next eigenvalue lambda_{k+1} of L, or an upper bound on it.
+
+    Up to the crossover, by a dense ``eigh`` of L; lambda_{k+1} is exact (inf
+    when k = n). Above it, the top k pairs of M by Lanczos on
+    v -> s * (W (s * v)), s = diag(D^{-1/2}), mapped to 1 - mu; lambda_{k+1}
+    is 1 - theta for the bound theta <= mu_{k+1} of _next_value_bound. A
+    theta above mu_k + EIGEN_TIE_TOL shows that Lanczos missed an eigenvalue
+    of the top k, and the k+1 top pairs are then computed instead.
     """
     n = mat.shape[0]
     if n <= max(DENSE_EIGEN_MAX_N, DENSE_EIGEN_N_PER_PAIR * (k + 1)):
-        return linalg.sym_eigen(np.eye(n) - inv_sqrt[:, np.newaxis] * mat * inv_sqrt)
-    op = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=lambda v: inv_sqrt * (mat @ (inv_sqrt * v.ravel())), dtype=np.float64
-    )
-    top = linalg.sym_eigen(op, count=k + 1)
-    return linalg.SymEigen(1.0 - top.values[::-1], top.vectors[:, ::-1])
+        full = linalg.sym_eigen(np.eye(n) - inv_sqrt[:, np.newaxis] * mat * inv_sqrt)
+        following = full.values[k] if k < n else np.inf
+        return linalg.SymEigen(full.values[:k], full.vectors[:, :k]), following
+
+    def matvec(v):
+        return inv_sqrt * (mat @ (inv_sqrt * v.ravel()))
+
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    top = linalg.sym_eigen(op, count=k)
+    theta = _next_value_bound(matvec, top.vectors)
+    if theta > top.values[0] + EIGEN_TIE_TOL:
+        top = linalg.sym_eigen(op, count=k + 1)
+        theta = top.values[0]
+        top = linalg.SymEigen(top.values[1:], top.vectors[:, 1:])
+    return linalg.SymEigen(1.0 - top.values[::-1], top.vectors[:, ::-1]), 1.0 - theta
 
 
 def normalized_cuts(w, k: int, seed: int = 0, restarts: int = 20) -> Labeling:
@@ -233,12 +317,14 @@ def normalized_cuts(w, k: int, seed: int = 0, restarts: int = 20) -> Labeling:
     k : number of clusters, 1 <= k <= n
     seed, restarts : k-means seeding configuration
 
-    Only the k+1 bottom eigenpairs of the Laplacian are used: k for the
-    embedding and one for the ``eigen_tie`` gap check. Above the dense
-    crossover (DENSE_EIGEN_MAX_N nodes, more for large k) they are the top
-    k+1 eigenpairs of D^{-1/2} W D^{-1/2}, computed by Lanczos from
-    products with W, so no Laplacian is formed; below it a dense ``eigh``
-    is faster.
+    The embedding uses the k bottom eigenpairs of the Laplacian, and the
+    ``eigen_tie`` gap check the (k+1)-th eigenvalue. Below the dense
+    crossover (DENSE_EIGEN_MAX_N nodes, more for large k) a dense ``eigh``
+    gives them exactly. Above it the k pairs are the top k of
+    D^{-1/2} W D^{-1/2}, computed by Lanczos from products with W, so no
+    Laplacian is formed; the (k+1)-th eigenvalue is bounded by
+    LANCZOS_BOUND_STEPS more products, and ``eigen_tie`` is set only when
+    that bound proves a tie (|lambda_{k+1} - lambda_k| < EIGEN_TIE_TOL).
 
     Zero-degree nodes get a zeroed D^{-1/2} entry, are clustered like any
     other row, and are finally reassigned to the largest cluster (listed in
@@ -261,9 +347,9 @@ def normalized_cuts(w, k: int, seed: int = 0, restarts: int = 20) -> Labeling:
     isolated = np.nonzero(degrees <= 0)[0]
     inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(np.where(degrees > 0, degrees, 1.0)), 0.0)
 
-    eigen = _bottom_laplacian_eigen(mat, inv_sqrt, k)
-    eigen_tie = k < n and abs(eigen.values[k] - eigen.values[k - 1]) < EIGEN_TIE_TOL
-    embedding = eigen.vectors[:, :k]
+    eigen, following = _bottom_laplacian_eigen(mat, inv_sqrt, k)
+    eigen_tie = following - eigen.values[k - 1] < EIGEN_TIE_TOL
+    embedding = eigen.vectors
     row_norms = np.linalg.norm(embedding, axis=1, keepdims=True)
     embedding = np.where(row_norms > 0, embedding / np.where(row_norms > 0, row_norms, 1.0), 0.0)
 

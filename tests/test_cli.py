@@ -412,6 +412,32 @@ class TestEnvOverrides:
         assert cfg.lam == 0.9
         assert cfg.pca_dim == 12
 
+    def test_preset_flag_beats_config_file(self, tmp_path):
+        # a run recorded with hopkins-lsr1 replayed under another preset
+        path = tmp_path / "face.csv"
+        assert run("synth", "--output", path, "--ambient-dim", 40, "--dims", "3,3",
+                   "--samples", "20,20", "--seed", 1) == cli.EXIT_OK
+        first, second = tmp_path / "r.json", tmp_path / "replay.json"
+        assert run("segment", "--input", path, "--preset", "hopkins-lsr1",
+                   "--output", first) == cli.EXIT_OK
+        assert run("segment", "--config", first, "--preset", "yaleb5-lsr2",
+                   "--output", second) == cli.EXIT_OK
+        replay = json.loads(second.read_text())
+        config = replay["config"]
+        assert (config["preset"], config["solver"], config["lam"], config["pca_dim"]) == (
+            "yaleb5-lsr2", "lsr2", 0.4, 30)
+        direct = tmp_path / "direct.json"
+        assert run("segment", "--input", path, "--preset", "yaleb5-lsr2",
+                   "--output", direct) == cli.EXIT_OK
+        report = json.loads(direct.read_text())["report"]
+        for key in ("predicted_labels", "block_diag_violation"):
+            assert replay["report"][key] == report[key]
+        # explicit per-field flags still beat the preset flag
+        args = cli.build_parser().parse_args(
+            ["segment", "--config", str(first), "--preset", "yaleb5-lsr2", "--pca-dim", "8"])
+        cfg = cli._resolve_config(args)
+        assert (cfg.input, cfg.solver, cfg.lam, cfg.pca_dim) == (str(path), "lsr2", 0.4, 8)
+
 
 SUBCOMMAND_FLAGS = {
     "synth": {"--output", "--seed", "--normalize-columns", "--ambient-dim", "--dims",

@@ -202,29 +202,50 @@ def with_isolated_nodes(w, count):
 
 
 def cluster_on_path(monkeypatch, w, k, dense_max_n):
-    """normalized_cuts with DENSE_EIGEN_MAX_N set, plus the one sym_eigen call it made."""
+    """normalized_cuts with DENSE_EIGEN_MAX_N set, the (count, result) of each
+    sym_eigen call it made, and the (k bottom pairs, next value) it clustered on."""
     monkeypatch.setattr(spectral, "DENSE_EIGEN_MAX_N", dense_max_n)
-    calls = []
+    calls, bottom = [], []
     sym_eigen = linalg.sym_eigen
+    bottom_eigen = spectral._bottom_laplacian_eigen
 
     def spy(a, count=None):
         result = sym_eigen(a, count=count)
         calls.append((count, result))
         return result
 
+    def bottom_spy(*args):
+        bottom.append(bottom_eigen(*args))
+        return bottom[-1]
+
     monkeypatch.setattr(linalg, "sym_eigen", spy)
+    monkeypatch.setattr(spectral, "_bottom_laplacian_eigen", bottom_spy)
     labeling = spectral.normalized_cuts(w, k, seed=0)
     monkeypatch.setattr(linalg, "sym_eigen", sym_eigen)
-    (call,) = calls
-    return labeling, call
+    monkeypatch.setattr(spectral, "_bottom_laplacian_eigen", bottom_eigen)
+    (result,) = bottom
+    return labeling, calls, result
 
 
-def bottom_laplacian_values(call, k):
-    """The k+1 smallest Laplacian eigenvalues from a dense or a Lanczos sym_eigen call."""
-    count, eigen = call
-    if count is None:
-        return eigen.values[: k + 1]
-    return 1.0 - eigen.values[::-1]
+def weak_link_affinity(weight):
+    """Six random blocks of 60, the first two joined by one edge of ``weight``.
+
+    At k = 5 the joined pair is one cluster: the Laplacian's 5th and 6th
+    eigenvalues are 0 and about 7.4e-4 * weight. At weight 1e-8, ARPACK asked
+    for only the top 5 of D^{-1/2} W D^{-1/2} converges to the wrong five.
+    """
+    w, _ = block_affinity([60] * 6, seed=0)
+    w[0, 60] = w[60, 0] = weight
+    return w
+
+
+def ring_affinity(n, reach):
+    """A regular graph: each of n nodes on a cycle joined to its 2 * reach nearest."""
+    w = np.zeros((n, n))
+    for step in range(1, reach + 1):
+        for i in range(n):
+            w[i, (i + step) % n] = w[(i + step) % n, i] = 1.0
+    return w
 
 
 class TestLanczosPath:
@@ -234,59 +255,100 @@ class TestLanczosPath:
     def noisy_600(self):
         return noisy_union_affinity(600)
 
-    def assert_paths_agree(self, monkeypatch, w, k):
-        dense, dense_call = cluster_on_path(monkeypatch, w, k, dense_max_n=10**9)
-        lanczos, lanczos_call = cluster_on_path(monkeypatch, w, k, dense_max_n=0)
-        assert dense_call[0] is None and lanczos_call[0] == k + 1
-        assert np.max(np.abs(
-            bottom_laplacian_values(lanczos_call, k) - bottom_laplacian_values(dense_call, k)
-        )) <= 1e-12
+    def assert_paths_agree(self, monkeypatch, w, k, counts=None):
+        """Both paths' labelings, and the Lanczos bound on lambda_{k+1} minus its exact value."""
+        dense, dense_calls, (dense_eigen, exact) = cluster_on_path(monkeypatch, w, k, 10**9)
+        lanczos, lanczos_calls, (lanczos_eigen, bound) = cluster_on_path(monkeypatch, w, k, 0)
+        assert [count for count, _ in dense_calls] == [None]
+        assert [count for count, _ in lanczos_calls] == (counts or [k])
+        assert np.max(np.abs(lanczos_eigen.values - dense_eigen.values)) <= 1e-12
+        # 1 - bound is a Ritz value of D^{-1/2} W D^{-1/2}, at most its mu_{k+1}
+        assert bound >= exact - 1e-12
         assert lanczos.eigen_tie == dense.eigen_tie
         assert lanczos.zero_degree == dense.zero_degree
-        return dense, lanczos
+        return dense, lanczos, bound - exact
 
     def test_noisy_union(self, monkeypatch, noisy_600):
-        dense, lanczos = self.assert_paths_agree(monkeypatch, noisy_600, 5)
+        dense, lanczos, _ = self.assert_paths_agree(monkeypatch, noisy_600, 5)
         assert metrics.segmentation_error(lanczos, dense.labels) == 0.0
         assert not lanczos.eigen_tie
 
-    @pytest.mark.parametrize("w, k", [
-        (block_affinity([40, 50, 30, 45, 35], seed=1)[0], 5),
-        (np.kron(np.eye(5), np.ones((40, 40))), 5),
-        (with_isolated_nodes(block_affinity([50, 60, 40, 55], seed=2)[0], 3), 4),
+    @pytest.mark.parametrize("w, k, exact", [
+        (block_affinity([40, 50, 30, 45, 35], seed=1)[0], 5, False),
+        (np.kron(np.eye(5), np.ones((40, 40))), 5, True),
+        (with_isolated_nodes(block_affinity([50, 60, 40, 55], seed=2)[0], 3), 4, False),
     ], ids=["block_diagonal", "equal_cliques", "isolated_nodes"])
-    def test_k_components(self, monkeypatch, w, k):
-        # a repeated eigenvalue 1 of D^{-1/2} W D^{-1/2}, one copy per component
-        dense, lanczos = self.assert_paths_agree(monkeypatch, w, k)
+    def test_k_components(self, monkeypatch, w, k, exact):
+        # a repeated eigenvalue 1 of D^{-1/2} W D^{-1/2}, one copy per component.
+        # mu_{k+1} tops a random bulk for random blocks, which the bound steps
+        # approach only to within 1e-6; equal cliques have M = 0 off the top k,
+        # so the bound steps break down at once on the exact mu_{k+1} = 0.
+        dense, lanczos, excess = self.assert_paths_agree(monkeypatch, w, k)
         assert metrics.segmentation_error(lanczos, dense.labels) == 0.0
         assert not lanczos.eigen_tie
+        if exact:
+            assert abs(excess) <= 1e-12
 
     def test_more_components_than_k(self, monkeypatch):
         # The k+1 eigenvalues at the cut are all 0, so the spectrum does not
         # fix the partition (eigen_tie): either path may pick any k of the 7
         # components' indicators, but neither may split a component.
         w, components = block_affinity([30] * 7, seed=3)
-        dense, lanczos = self.assert_paths_agree(monkeypatch, w, 5)
+        dense, lanczos, excess = self.assert_paths_agree(monkeypatch, w, 5)
+        assert abs(excess) <= 1e-12
         assert dense.eigen_tie and lanczos.eigen_tie
         for labeling in (dense, lanczos):
             for c in range(7):
                 assert np.unique(labeling.labels[components == c]).size == 1
 
+    @pytest.mark.parametrize("weight, tie, counts", [
+        (1e-8, False, [5, 6]), (1e-10, True, [5]),
+    ], ids=["gap_above_tol", "gap_below_tol"])
+    def test_weak_link_near_tie(self, monkeypatch, weight, tie, counts):
+        # Above the tolerance the top-5 Lanczos misses an eigenvalue 1, the
+        # bound exposes it (theta > mu_5 + EIGEN_TIE_TOL), and the top 6 are
+        # computed instead; below it the bound proves the tie.
+        w = weak_link_affinity(weight)
+        dense, lanczos, _ = self.assert_paths_agree(monkeypatch, w, 5, counts)
+        assert dense.eigen_tie is tie
+        assert metrics.segmentation_error(lanczos, dense.labels) == 0.0
+
+    @pytest.mark.parametrize("w, k", [
+        (np.kron(np.eye(5), np.ones((40, 40))), 5), (ring_affinity(200, 3), 1),
+    ], ids=["equal_cliques", "regular_k1"])
+    def test_fallback_start(self, monkeypatch, w, k):
+        # ones(n) lies in the span of the top k eigenvectors of D^{-1/2} W D^{-1/2}
+        starts = []
+        fallback = spectral._fallback_start
+
+        def spy(n):
+            starts.append(n)
+            return fallback(n)
+
+        monkeypatch.setattr(spectral, "_fallback_start", spy)
+        self.assert_paths_agree(monkeypatch, w, k)
+        assert starts == [w.shape[0]]
+        monkeypatch.setattr(spectral, "DENSE_EIGEN_MAX_N", 0)
+        first, second = (spectral.normalized_cuts(w, k, seed=0) for _ in range(2))
+        assert starts == [w.shape[0]] * 3
+        assert np.array_equal(first.labels, second.labels)
+        assert (first.eigen_tie, first.zero_degree) == (second.eigen_tie, second.zero_degree)
+
     @pytest.mark.parametrize("k", [3, 20])
     def test_each_side_of_the_cut(self, monkeypatch, noisy_600, k):
         cut = max(spectral.DENSE_EIGEN_MAX_N, spectral.DENSE_EIGEN_N_PER_PAIR * (k + 1))
         dense_max_n = spectral.DENSE_EIGEN_MAX_N
-        for n, expected_count in ((cut, None), (cut + 1, k + 1)):
-            _, (count, _) = cluster_on_path(monkeypatch, noisy_600[:n, :n], k, dense_max_n)
+        for n, expected_count in ((cut, None), (cut + 1, k)):
+            _, ((count, _),), _ = cluster_on_path(monkeypatch, noisy_600[:n, :n], k, dense_max_n)
             assert count == expected_count
         w = noisy_600[: cut + 1, : cut + 1]
-        dense, lanczos = self.assert_paths_agree(monkeypatch, w, k)
+        dense, lanczos, _ = self.assert_paths_agree(monkeypatch, w, k)
         assert metrics.segmentation_error(lanczos, dense.labels) == 0.0
 
     @pytest.mark.parametrize("k", [9, 10])
     def test_k_plus_one_at_least_n_stays_dense(self, monkeypatch, k):
         w, _ = block_affinity([5, 5], seed=4)
-        labeling, (count, eigen) = cluster_on_path(monkeypatch, w, k, dense_max_n=0)
+        labeling, ((count, eigen),), _ = cluster_on_path(monkeypatch, w, k, dense_max_n=0)
         assert count is None and eigen.values.size == 10
         assert labeling.n == 10
 
