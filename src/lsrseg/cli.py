@@ -332,6 +332,9 @@ def run_segmentation(cfg: RunConfig) -> metrics.SegmentationReport:
         degenerate_affinity=labeling.degenerate,
         eigen_tie=labeling.eigen_tie,
         zero_degree=labeling.zero_degree,
+        kmeans_objective=labeling.kmeans_objective,
+        lloyd_iterations=labeling.lloyd_iterations,
+        lloyd_converged=labeling.lloyd_converged,
     )
 
 

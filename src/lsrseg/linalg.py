@@ -2,6 +2,10 @@
 
 Inputs are validated, finite float64 matrices. Factorizations are delegated
 to LAPACK through numpy/scipy, and partial symmetric eigensolves to ARPACK.
+ARPACK runs on scipy's BLAS, and numpy links a separate OpenBLAS; the idle
+threads of each pool spin against the other's, so a ``sym_eigen`` operator
+should compute its products with ``scipy.linalg.blas`` (as ``spectral``'s
+does) rather than with numpy's ``@``.
 """
 
 from __future__ import annotations

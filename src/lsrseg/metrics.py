@@ -50,7 +50,9 @@ class SegmentationReport:
     in exact arithmetic it equals Z's cross-label share of the mass, since
     the mirror of a cross-label pair is one too. Without ground-truth labels,
     ``error_rate`` and ``aligned_permutation`` are None and the violation is
-    scored against the predicted labels.
+    scored against the predicted labels. ``kmeans_objective``,
+    ``lloyd_iterations`` and ``lloyd_converged`` are the winning k-means
+    restart's, as on ``spectral.Labeling`` (None after the degenerate fallback).
     """
 
     error_rate: float | None
@@ -63,6 +65,9 @@ class SegmentationReport:
     degenerate_affinity: bool = False
     eigen_tie: bool = False
     zero_degree: tuple[int, ...] = field(default_factory=tuple)
+    kmeans_objective: float | None = None
+    lloyd_iterations: int | None = None
+    lloyd_converged: bool | None = None
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -7,17 +7,23 @@ eigenvectors are the top k of M = D^{-1/2} W D^{-1/2}, found by Lanczos
 from products with W alone, so neither the Laplacian nor a full
 eigendecomposition is ever formed; the (k+1)-th eigenvalue, which only the
 ``eigen_tie`` check reads, gets a lower bound on mu_{k+1} from a few Lanczos
-steps on M deflated by those k. Everything is deterministic given
-(affinity, k, seed, restarts).
+steps on M deflated by those k. Every product on that Lanczos path, ARPACK's
+W @ v and the bound steps' projections, goes through scipy's BLAS
+(``scipy.linalg.blas.dgemv``), the library ARPACK itself links, so each step
+wakes one BLAS thread pool: numpy links a second OpenBLAS, and on a small
+machine the idle threads of each pool spin against the other's. Everything is
+deterministic given (affinity, k, seed, restarts).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
+from scipy.linalg.blas import dgemv
 
 from . import linalg
 from .solvers import Coefficients, coefficient_array
@@ -95,7 +101,11 @@ class Labeling:
     ``eigen_tie`` compares the Laplacian's exact lambda_k and lambda_{k+1} on
     the dense path; on the Lanczos path it is set only when a Lanczos bound
     proves the tie, so a near tie that the bound does not resolve reads as
-    no tie (see EIGEN_TIE_TOL).
+    no tie (see EIGEN_TIE_TOL). ``kmeans_objective``, ``lloyd_iterations``
+    and ``lloyd_converged`` describe the winning k-means restart: its sum of
+    squared distances to the centres, its Lloyd centre updates, and whether
+    Lloyd converged within KMEANS_MAX_ITER of them; all three are None when
+    no k-means ran (the degenerate fallback).
     """
 
     labels: np.ndarray
@@ -103,6 +113,9 @@ class Labeling:
     degenerate: bool = False
     eigen_tie: bool = False
     zero_degree: tuple[int, ...] = field(default_factory=tuple)
+    kmeans_objective: float | None = None
+    lloyd_iterations: int | None = None
+    lloyd_converged: bool | None = None
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=int)
@@ -163,11 +176,26 @@ def affinity_in_place(coeffs: Coefficients) -> Affinity:
     return _symmetrize_in_place(np.abs(z, out=z))
 
 
+def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances, n x m, from the n ``points`` to the m ``centers``.
+
+    The squared coordinate differences are added one coordinate at a time,
+    from zero, so no n x m x d array is formed. For d < 8 coordinates this
+    is bit for bit numpy's sum over a contiguous axis of length d.
+    """
+    dist2 = np.zeros((points.shape[0], centers.shape[0]))
+    for c in range(points.shape[1]):
+        diff = points[:, c, np.newaxis] - centers[:, c]
+        diff *= diff
+        dist2 += diff
+    return dist2
+
+
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    d2 = _sq_dists(points, centers[:1])[:, 0]
     for c in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -175,21 +203,28 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:
             idx = rng.integers(n)
         centers[c] = points[idx]
-        d2 = np.minimum(d2, np.sum((points - centers[c]) ** 2, axis=1))
+        d2 = np.minimum(d2, _sq_dists(points, centers[c : c + 1])[:, 0])
     return centers
 
 
 def _assign(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    dist2 = ((points[:, np.newaxis, :] - centers[np.newaxis, :, :]) ** 2).sum(axis=2)
+    dist2 = _sq_dists(points, centers)
     labels = dist2.argmin(axis=1)
     return labels, dist2
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
+class _Lloyd(NamedTuple):
+    labels: np.ndarray
+    objective: float
+    iterations: int  # centre updates made
+    converged: bool  # False when KMEANS_MAX_ITER updates left the objective moving
+
+
+def _lloyd(points: np.ndarray, centers: np.ndarray) -> _Lloyd:
     labels, dist2 = _assign(points, centers)
     own_d2 = dist2.min(axis=1)  # each point's distance to its own center
     objective = float(own_d2.sum())
-    for _ in range(KMEANS_MAX_ITER):
+    for iteration in range(1, KMEANS_MAX_ITER + 1):
         new_centers = np.empty_like(centers)
         for j in range(centers.shape[0]):
             members = labels == j
@@ -206,17 +241,18 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
         if new_objective == 0.0 or (
             objective > 0 and (objective - new_objective) / objective <= KMEANS_REL_TOL
         ):
-            objective = new_objective
-            break
+            return _Lloyd(labels, new_objective, iteration, True)
         objective = new_objective
-    return labels, objective
+    return _Lloyd(labels, objective, KMEANS_MAX_ITER, False)
 
 
 def kmeans(points, k: int, seed: int = 0, restarts: int = 20) -> Labeling:
     """Seeded k-means++ with Lloyd refinement, best of ``restarts`` runs.
 
     The winner is chosen by (objective, restart index), so identical seeds
-    give bit-identical labels.
+    give bit-identical labels. The Labeling carries the winner's objective,
+    Lloyd iteration count and whether Lloyd converged. Non-finite points
+    raise NonFiniteMatrix before any restart.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -224,21 +260,33 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 20) -> Labeling:
     n = pts.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    best_labels, best_obj = None, np.inf
+    bad = np.nonzero(~np.isfinite(pts).all(axis=1))[0]
+    if bad.size:
+        shown = ", ".join(str(i) for i in bad[:10]) + (", ..." if bad.size > 10 else "")
+        raise linalg.NonFiniteMatrix(
+            f"k-means points must be finite; non-finite rows: {shown} ({bad.size} of {n})"
+        )
+    best = None
     for restart in range(max(1, restarts)):
         rng = np.random.default_rng([seed, restart])
-        centers = _kmeans_pp_init(pts, k, rng)
-        labels, objective = _lloyd(pts, centers)
-        if objective < best_obj:
-            best_labels, best_obj = labels, objective
-    return Labeling(best_labels, k)
+        run = _lloyd(pts, _kmeans_pp_init(pts, k, rng))
+        if best is None or run.objective < best.objective:
+            best = run
+    return Labeling(
+        best.labels,
+        k,
+        kmeans_objective=best.objective,
+        lloyd_iterations=best.iterations,
+        lloyd_converged=best.converged,
+    )
 
 
 def _orthogonalize(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``x`` minus its projection on the orthonormal rows of ``basis``, taken
-    twice: one pass leaves round-off along them when x nearly lies in their span."""
+    twice: one pass leaves round-off along them when x nearly lies in their span.
+    ``basis`` is C-ordered, so its transpose is the Fortran array dgemv reads."""
     for _ in range(2):
-        x = x - basis.T @ (basis @ x)
+        x = x - dgemv(1.0, basis.T, dgemv(1.0, basis.T, x, trans=1))
     return x
 
 
@@ -295,8 +343,13 @@ def _bottom_laplacian_eigen(
         following = full.values[k] if k < n else np.inf
         return linalg.SymEigen(full.values[:k], full.vectors[:, :k]), following
 
+    # dgemv reads the Fortran-ordered transpose of a C-ordered W in place (a W
+    # in any other order is copied once); trans=1 takes one dot product per
+    # row of W, as numpy's W @ v does, but on ARPACK's BLAS.
+    mat_t = np.ascontiguousarray(mat).T
+
     def matvec(v):
-        return inv_sqrt * (mat @ (inv_sqrt * v.ravel()))
+        return inv_sqrt * dgemv(1.0, mat_t, inv_sqrt * v.ravel(), trans=1)
 
     op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
     top = linalg.sym_eigen(op, count=k)
@@ -359,6 +412,9 @@ def normalized_cuts(w, k: int, seed: int = 0, restarts: int = 20) -> Labeling:
         connected = np.setdiff1d(np.arange(n), isolated)
         counts = np.bincount(labels[connected], minlength=k)
         labels[isolated] = int(counts.argmax())
-    return Labeling(
-        labels, k, eigen_tie=bool(eigen_tie), zero_degree=tuple(int(i) for i in isolated)
+    return replace(
+        clustered,
+        labels=labels,
+        eigen_tie=bool(eigen_tie),
+        zero_degree=tuple(int(i) for i in isolated),
     )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from lsrseg import cli, datagen, ingest, metrics, solvers
+from lsrseg import cli, datagen, ingest, metrics, solvers, spectral
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -104,6 +104,17 @@ class TestSegment:
         assert set(report["wall_times"]) >= {"load", "solve", "affinity", "cluster"}
         assert payload["config"]["lam"] == 1e-3
         assert payload["config"]["seed"] == 0
+        assert report["lloyd_converged"] is True
+        assert 1 <= report["lloyd_iterations"] < spectral.KMEANS_MAX_ITER
+        assert 0.0 <= report["kmeans_objective"] < 1.0
+
+    def test_report_flags_lloyd_at_its_iteration_cap(self, dataset, tmp_path, monkeypatch):
+        monkeypatch.setattr(spectral, "KMEANS_MAX_ITER", 1)
+        out = tmp_path / "report.json"
+        assert run("segment", "--input", dataset, "--output", out,
+                   "--solver", "lsr1", "--lambda", 1e-3) == cli.EXIT_OK
+        report = json.loads(out.read_text())["report"]
+        assert (report["lloyd_iterations"], report["lloyd_converged"]) == (1, False)
 
     def test_orthogonal_dataset_tiny_violation(self, tmp_path):
         # orthogonal subspaces: the ridge solution is block diagonal up to
@@ -138,6 +149,9 @@ class TestSegment:
         report = json.loads(out.read_text())["report"]
         assert report["degenerate_affinity"] is True
         assert report["predicted_labels"] == [0] * 200
+        # no k-means ran
+        assert [report[key] for key in ("kmeans_objective", "lloyd_iterations",
+                                        "lloyd_converged")] == [None, None, None]
 
     @pytest.mark.parametrize("solver", ["constrained", "lsr1", "lsr2"])
     def test_two_lines_violation_is_scored_on_w(self, solver, tmp_path):

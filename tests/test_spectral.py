@@ -99,6 +99,106 @@ class TestKmeans:
         with pytest.raises(ValueError):
             spectral.kmeans(np.zeros((3, 2)), 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected_before_any_restart(self, monkeypatch, bad):
+        def no_restart(*args):
+            raise AssertionError("a restart ran")
+
+        monkeypatch.setattr(spectral, "_lloyd", no_restart)
+        with pytest.raises(linalg.NonFiniteMatrix, match=r"rows: 0 \(1 of 4\)"):
+            spectral.kmeans(np.array([[bad], [1.0], [2.0], [3.0]]), 2)
+        pts = np.zeros((30, 2))
+        pts[3:30:2, 1] = bad
+        with pytest.raises(linalg.NonFiniteMatrix, match=r"rows: 3, 5, .*21, \.\.\. \(14 of 30\)"):
+            spectral.kmeans(pts, 2)
+
+    def test_reports_the_winning_restart(self):
+        rng = np.random.default_rng(0)
+        pts = np.vstack([rng.normal(0.0, 0.1, (10, 2)), rng.normal(5.0, 0.1, (10, 2))])
+        lab = spectral.kmeans(pts, 2, seed=1)
+        assert lab.lloyd_converged is True
+        assert 1 <= lab.lloyd_iterations < spectral.KMEANS_MAX_ITER
+        centers = np.array([pts[lab.labels == j].mean(axis=0) for j in range(2)])
+        expected = np.sum((pts - centers[lab.labels]) ** 2)
+        assert lab.kmeans_objective == pytest.approx(expected, rel=1e-12)
+        runs = [
+            spectral._lloyd(pts, spectral._kmeans_pp_init(pts, 2, np.random.default_rng([1, r])))
+            for r in range(20)
+        ]
+        assert lab.kmeans_objective == min(run.objective for run in runs)
+
+    def test_iteration_cap_reports_not_converged(self, monkeypatch):
+        pts = np.random.default_rng(3).standard_normal((200, 2))
+        converged = spectral.kmeans(pts, 4, seed=0)
+        assert converged.lloyd_converged and converged.lloyd_iterations > 1
+        monkeypatch.setattr(spectral, "KMEANS_MAX_ITER", 1)
+        capped = spectral.kmeans(pts, 4, seed=0)
+        assert capped.lloyd_converged is False
+        assert capped.lloyd_iterations == 1
+        assert capped.kmeans_objective > converged.kmeans_objective
+
+
+def broadcast_sq_dists(points, centers):
+    """The n x m x d broadcast that _sq_dists replaced, kept as its reference."""
+    return ((points[:, np.newaxis, :] - centers[np.newaxis, :, :]) ** 2).sum(axis=2)
+
+
+def within_ulps(a, b, ulps):
+    return np.all(np.abs(a - b) <= ulps * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+
+
+def seeded_clouds(seed, d, n=300):
+    """n points around d random means in R^d."""
+    rng = np.random.default_rng(seed)
+    means = rng.normal(0.0, 2.0, (d, d))
+    return means[rng.integers(d, size=n)] + rng.normal(0.0, 0.5, (n, d))
+
+
+def half_duplicated(seed, d):
+    points = seeded_clouds(seed, d, n=150)
+    return np.vstack([points, points[::-1]])
+
+
+class TestSqDists:
+    """_sq_dists adds coordinates in order from zero: numpy's own sum below 8
+    terms, its pairwise sum (which may round differently) from 8 up."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
+    def test_bit_identical_below_eight_coordinates(self, d):
+        rng = np.random.default_rng(d)
+        points = rng.standard_normal((500, d))
+        for centers in (points[rng.integers(500, size=d)], points[:1], rng.normal(size=(3, d))):
+            assert np.array_equal(spectral._sq_dists(points, centers),
+                                  broadcast_sq_dists(points, centers))
+
+    # Two orders of adding d nonnegative terms differ by at most (d - 1) eps
+    # relative, 2 (d - 1) ulps. Up to d = 10 no pair was seen more than 4 ulps
+    # apart; at d = 24 up to 6 were (500 x 24 normal points, 20 seeds).
+    @pytest.mark.parametrize("d, ulps", [(8, 4), (10, 4), (24, 2 * 23)])
+    def test_within_a_few_ulps_from_eight_coordinates(self, d, ulps):
+        rng = np.random.default_rng(d)
+        points = rng.standard_normal((500, d))
+        centers = points[rng.integers(500, size=d)]
+        assert within_ulps(spectral._sq_dists(points, centers),
+                           broadcast_sq_dists(points, centers), ulps)
+
+    @pytest.mark.parametrize("points, k", [
+        (seeded_clouds(0, 2), 2), (seeded_clouds(1, 3), 3), (seeded_clouds(2, 5), 5),
+        (seeded_clouds(3, 7), 7), (np.round(seeded_clouds(4, 3)), 3),
+        (np.round(seeded_clouds(5, 5), 1), 5),
+        (half_duplicated(6, 5), 5),
+        # three distinct points for four centres: every restart re-seeds one
+        (np.repeat(np.eye(3), 10, axis=0), 4),
+    ], ids=["clouds_2", "clouds_3", "clouds_5", "clouds_7", "ties_3", "ties_5",
+            "half_duplicated", "empty_cluster_reseed"])
+    def test_kmeans_equals_broadcast_reference(self, monkeypatch, points, k):
+        ours = spectral.kmeans(points, k, seed=7)
+        monkeypatch.setattr(spectral, "_sq_dists", broadcast_sq_dists)
+        reference = spectral.kmeans(points, k, seed=7)
+        assert np.array_equal(ours.labels, reference.labels)
+        assert ours.kmeans_objective == reference.kmeans_objective
+        assert ours.lloyd_iterations == reference.lloyd_iterations
+
 
 class TestNormalizedCuts:
     def test_two_components_recovered_for_every_seed(self):
