@@ -335,6 +335,7 @@ def run_segmentation(cfg: RunConfig) -> metrics.SegmentationReport:
         kmeans_objective=labeling.kmeans_objective,
         lloyd_iterations=labeling.lloyd_iterations,
         lloyd_converged=labeling.lloyd_converged,
+        eigengap=labeling.eigengap,
     )
 
 

@@ -1,11 +1,30 @@
 """Dense matrix primitives shared by every other module.
 
 Inputs are validated, finite float64 matrices. Factorizations are delegated
-to LAPACK through numpy/scipy, and partial symmetric eigensolves to ARPACK.
-ARPACK runs on scipy's BLAS, and numpy links a separate OpenBLAS; the idle
-threads of each pool spin against the other's, so a ``sym_eigen`` operator
-should compute its products with ``scipy.linalg.blas`` (as ``spectral``'s
-does) rather than with numpy's ``@``.
+to LAPACK, and partial symmetric eigensolves to ARPACK.
+
+One BLAS per run. numpy and scipy link separate OpenBLAS libraries, each
+with its own thread pool, and the idle threads of one pool spin against the
+other's on a small machine. ARPACK and ``solve_spd``'s Cholesky can only run
+on scipy's, so every threaded BLAS or LAPACK call of an ``lsr1``/``lsr2``
+``segment`` run goes there too:
+
+* matrix products through ``matmul`` (scipy's ``dgemm``): the ridge
+  solvers' Gram matrices and X^T Y, and ``ingest.pca_project``'s Gram
+  matrix and projection;
+* dense symmetric eigensolves through ``sym_eigen`` (scipy's ``eigh`` with
+  the ``evd`` driver, the same LAPACK ``syevd`` numpy's ``eigh`` calls);
+* the products of a ``sym_eigen`` Lanczos operator through
+  ``scipy.linalg.blas`` (as ``spectral``'s does), not numpy's ``@``.
+
+The numpy calls left in such a run are element-wise, or level-1 products
+and norms of single vectors and of the d x d system, which numpy's OpenBLAS
+runs on the calling thread up to 10 000 entries. The one exception is the
+Frobenius norm of the n x n system of a d >= n ridge solve, one threaded
+``ddot`` per solve once n > 100. numpy's BLAS still serves code outside
+that run: ``solvers.lsr_constrained``'s full SVD and products,
+``pca_project``'s rare thin-SVD fallback, the check suites' products on
+small matrices, and ``datagen``, which runs only at set-up.
 """
 
 from __future__ import annotations
@@ -15,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
+from scipy.linalg.blas import dgemm
 
 SV_CUTOFF = 1e-10
 
@@ -65,6 +85,25 @@ def _square(a) -> np.ndarray:
     return a
 
 
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for 2-D float64 arrays, C-ordered, by scipy's ``dgemm``.
+
+    Row-major a b is the column-major b^T a^T, so each operand goes to dgemm
+    as the Fortran array it already is: a C-contiguous one as its transpose,
+    an F-contiguous one as itself with its transpose flag set. Neither is
+    copied; dgemm's Fortran-ordered output, transposed, is the C-ordered
+    result. An operand that is neither C- nor F-contiguous, or not float64,
+    is copied once into Fortran order.
+    """
+
+    def fortran_operand(m: np.ndarray) -> tuple[np.ndarray, int]:
+        return (m.T, 0) if m.flags.c_contiguous else (m, 1)
+
+    a_arg, trans_a = fortran_operand(a)
+    b_arg, trans_b = fortran_operand(b)
+    return dgemm(1.0, b_arg, a_arg, trans_a=trans_b, trans_b=trans_a).T
+
+
 def solve_spd(a, b) -> np.ndarray:
     """Solve a @ s = b for symmetric positive-definite `a` via Cholesky.
 
@@ -91,17 +130,17 @@ def solve_spd(a, b) -> np.ndarray:
 def sym_eigen(a, count: int | None = None) -> SymEigen:
     """Eigenpairs of a symmetric matrix, eigenvalues ascending.
 
-    Without ``count``, all n eigenpairs of the dense matrix `a` by LAPACK,
-    reading its lower triangle. With ``count`` (1 <= count < n - 1), only
-    the ``count`` largest, by ARPACK's implicitly restarted Lanczos from the
-    fixed start vector ones(n); `a` may then be a
+    Without ``count``, all n eigenpairs of the dense matrix `a` by LAPACK's
+    ``syevd`` (scipy's), reading its lower triangle. With ``count``
+    (1 <= count < n - 1), only the ``count`` largest, by ARPACK's implicitly
+    restarted Lanczos from the fixed start vector ones(n); `a` may then be a
     ``scipy.sparse.linalg.LinearOperator``, used only through products a @ v.
     """
     if count is None:
         a = _square(a)
         try:
-            values, vectors = np.linalg.eigh(a)
-        except np.linalg.LinAlgError as exc:
+            values, vectors = scipy.linalg.eigh(a, driver="evd", check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
             raise ConvergenceFailure(str(exc)) from exc
         return SymEigen(values, vectors)
     try:

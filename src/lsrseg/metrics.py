@@ -50,9 +50,11 @@ class SegmentationReport:
     in exact arithmetic it equals Z's cross-label share of the mass, since
     the mirror of a cross-label pair is one too. Without ground-truth labels,
     ``error_rate`` and ``aligned_permutation`` are None and the violation is
-    scored against the predicted labels. ``kmeans_objective``,
-    ``lloyd_iterations`` and ``lloyd_converged`` are the winning k-means
-    restart's, as on ``spectral.Labeling`` (None after the degenerate fallback).
+    scored against the predicted labels. ``eigengap``, ``kmeans_objective``,
+    ``lloyd_iterations`` and ``lloyd_converged`` are as on
+    ``spectral.Labeling``: the Laplacian's lambda_{k+1} - lambda_k (an upper
+    bound on the Lanczos path; None at k = n) and the winning k-means
+    restart's fit, all None after the degenerate fallback.
     """
 
     error_rate: float | None
@@ -68,6 +70,7 @@ class SegmentationReport:
     kmeans_objective: float | None = None
     lloyd_iterations: int | None = None
     lloyd_converged: bool | None = None
+    eigengap: float | None = None
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -15,6 +15,11 @@ column as a combination of the others:
 For d < n both ridge forms come from one d x d solve instead of P: with
 Y = (X X^T + lam*I_d)^{-1} X, the Woodbury identity gives lam*P = I - X^T Y,
 so ``lsr2`` is X^T Y and ``lsr1`` rescales I - X^T Y (the 1/lam cancels).
+
+The ridge forms take their products (the Gram matrix and X^T Y) with
+``linalg.matmul`` and their Cholesky solves with ``linalg.solve_spd``, so
+an ``lsr1``/``lsr2`` run stays on scipy's BLAS (see ``linalg``);
+``lsr_constrained``'s SVD and products still run on numpy's.
 """
 
 from __future__ import annotations
@@ -170,9 +175,9 @@ def lsr_constrained(x) -> Coefficients:
 
 
 def _gram(a: np.ndarray, name: str) -> np.ndarray:
-    """a^T a, or NonFiniteMatrix naming the Gram matrix when it leaves float64."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = a.T @ a
+    """a^T a by ``linalg.matmul``, or NonFiniteMatrix naming the Gram matrix
+    when it leaves float64."""
+    gram = linalg.matmul(a.T, a)
     if not np.isfinite(gram).all():
         raise linalg.NonFiniteMatrix(f"Gram matrix {name} overflows float64; rescale the data")
     return gram
@@ -211,7 +216,7 @@ def _ridge_inverse(x, lam: float) -> tuple[np.ndarray, bool]:
         outer = _gram(mat.T, "X X^T")
         outer.flat[:: d + 1] += lam
         y = linalg.solve_spd(outer, mat)
-        m = mat.T @ y
+        m = linalg.matmul(mat.T, y)
         _check_divisors(1.0 - np.diag(m), outer, y)
         return m, True
     gram = _gram(mat, "X^T X")

@@ -101,7 +101,10 @@ class Labeling:
     ``eigen_tie`` compares the Laplacian's exact lambda_k and lambda_{k+1} on
     the dense path; on the Lanczos path it is set only when a Lanczos bound
     proves the tie, so a near tie that the bound does not resolve reads as
-    no tie (see EIGEN_TIE_TOL). ``kmeans_objective``, ``lloyd_iterations``
+    no tie (see EIGEN_TIE_TOL). ``eigengap`` is the lambda_{k+1} - lambda_k
+    that ``eigen_tie`` tests, exact on the dense path and an upper bound on
+    the Lanczos path; it is None after the degenerate fallback and at k = n,
+    where there is no lambda_{k+1}. ``kmeans_objective``, ``lloyd_iterations``
     and ``lloyd_converged`` describe the winning k-means restart: its sum of
     squared distances to the centres, its Lloyd centre updates, and whether
     Lloyd converged within KMEANS_MAX_ITER of them; all three are None when
@@ -116,6 +119,7 @@ class Labeling:
     kmeans_objective: float | None = None
     lloyd_iterations: int | None = None
     lloyd_converged: bool | None = None
+    eigengap: float | None = None
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=int)
@@ -378,6 +382,8 @@ def normalized_cuts(w, k: int, seed: int = 0, restarts: int = 20) -> Labeling:
     Laplacian is formed; the (k+1)-th eigenvalue is bounded by
     LANCZOS_BOUND_STEPS more products, and ``eigen_tie`` is set only when
     that bound proves a tie (|lambda_{k+1} - lambda_k| < EIGEN_TIE_TOL).
+    The gap itself is returned as ``eigengap``: exact on the dense path, an
+    upper bound on the Lanczos path, None at k = n.
 
     Zero-degree nodes get a zeroed D^{-1/2} entry, are clustered like any
     other row, and are finally reassigned to the largest cluster (listed in
@@ -401,7 +407,7 @@ def normalized_cuts(w, k: int, seed: int = 0, restarts: int = 20) -> Labeling:
     inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(np.where(degrees > 0, degrees, 1.0)), 0.0)
 
     eigen, following = _bottom_laplacian_eigen(mat, inv_sqrt, k)
-    eigen_tie = following - eigen.values[k - 1] < EIGEN_TIE_TOL
+    eigengap = following - eigen.values[k - 1]
     embedding = eigen.vectors
     row_norms = np.linalg.norm(embedding, axis=1, keepdims=True)
     embedding = np.where(row_norms > 0, embedding / np.where(row_norms > 0, row_norms, 1.0), 0.0)
@@ -415,6 +421,7 @@ def normalized_cuts(w, k: int, seed: int = 0, restarts: int = 20) -> Labeling:
     return replace(
         clustered,
         labels=labels,
-        eigen_tie=bool(eigen_tie),
+        eigen_tie=bool(eigengap < EIGEN_TIE_TOL),
         zero_degree=tuple(int(i) for i in isolated),
+        eigengap=float(eigengap) if k < n else None,
     )

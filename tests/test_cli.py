@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from lsrseg import cli, datagen, ingest, metrics, solvers, spectral
+from lsrseg import cli, datagen, ingest, linalg, metrics, solvers, spectral
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -107,6 +107,8 @@ class TestSegment:
         assert report["lloyd_converged"] is True
         assert 1 <= report["lloyd_iterations"] < spectral.KMEANS_MAX_ITER
         assert 0.0 <= report["kmeans_objective"] < 1.0
+        # three exactly recovered subspaces: lambda_3 ~ 0 < lambda_4
+        assert report["eigengap"] > spectral.EIGEN_TIE_TOL and not report["eigen_tie"]
 
     def test_report_flags_lloyd_at_its_iteration_cap(self, dataset, tmp_path, monkeypatch):
         monkeypatch.setattr(spectral, "KMEANS_MAX_ITER", 1)
@@ -149,9 +151,49 @@ class TestSegment:
         report = json.loads(out.read_text())["report"]
         assert report["degenerate_affinity"] is True
         assert report["predicted_labels"] == [0] * 200
-        # no k-means ran
+        # no k-means ran, and no eigenvalue was computed
         assert [report[key] for key in ("kmeans_objective", "lloyd_iterations",
-                                        "lloyd_converged")] == [None, None, None]
+                                        "lloyd_converged", "eigengap")] == [None] * 4
+
+    def test_eigengap_is_null_at_k_equal_n(self, tmp_path):
+        x = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 2.0]])
+        path, out = tmp_path / "lines.csv", tmp_path / "r.json"
+        ingest.write_csv(x, path)
+        assert run("segment", "--input", path, "--output", out, "--k", 4,
+                   "--solver", "lsr1", "--lambda", 0.1) == cli.EXIT_OK
+        # no lambda_{k+1} exists: null in the JSON, never inf
+        assert '"eigengap": null' in out.read_text()
+
+    @pytest.mark.parametrize("spec, solver, lam, pca_dim, dense", [
+        (datagen.SubspaceSpec(ambient_dim=300, subspace_dims=(9,) * 5,
+                              samples_per_subspace=(20,) * 5, noise_sigma=0.01, seed=5),
+         "lsr2", 0.4, 30, True),
+        (datagen.SubspaceSpec(ambient_dim=30, subspace_dims=(4,) * 3,
+                              samples_per_subspace=(70,) * 3, noise_sigma=0.05, seed=2),
+         "lsr1", 1e-2, None, False),
+    ], ids=["lsr2_pca_dense", "lsr1_lanczos"])
+    def test_segment_run_leaves_numpy_eigh_alone(self, tmp_path, monkeypatch, spec,
+                                                 solver, lam, pca_dim, dense):
+        # every eigensolve of an lsr1/lsr2 run, PCA's included, runs on scipy's LAPACK
+        path = tmp_path / "d.csv"
+        ingest.write_csv(datagen.generate(spec)[0], path)
+
+        def numpy_eigh(*args, **kwargs):
+            raise AssertionError("numpy's eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", numpy_eigh)
+        counts = []
+        sym_eigen = linalg.sym_eigen
+
+        def spy(a, count=None):
+            counts.append(count)
+            return sym_eigen(a, count=count)
+
+        monkeypatch.setattr(linalg, "sym_eigen", spy)
+        cfg = cli.RunConfig("segment", input=str(path), solver=solver, lam=lam, pca_dim=pca_dim)
+        report = cli.run_segmentation(cfg)
+        assert (counts[0] is None) is dense
+        assert report.error_rate < 0.05
 
     @pytest.mark.parametrize("solver", ["constrained", "lsr1", "lsr2"])
     def test_two_lines_violation_is_scored_on_w(self, solver, tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -98,7 +100,73 @@ class TestSolveSpd:
         assert np.linalg.norm(a @ s - b) <= bound
 
 
+def within_product_ulps(result, a, b, ulps):
+    """|result - a @ b| within ``ulps`` units of eps * (|a| @ |b|), the scale
+    of the terms each entry sums; a reordered sum moves it by about that."""
+    scale = np.abs(a) @ np.abs(b)
+    return bool(np.all(np.abs(result - a @ b) <= ulps * np.finfo(np.float64).eps * scale))
+
+
+class TestMatmul:
+    @pytest.mark.parametrize("order_a", ["C", "F"])
+    @pytest.mark.parametrize("order_b", ["C", "F"])
+    @pytest.mark.parametrize("m, k, n", [
+        (7, 5, 9), (1, 6, 8), (8, 6, 1), (7, 1, 9), (1, 1, 1), (60, 40, 50),
+    ], ids=["general", "one_row", "one_column", "inner_one", "scalar", "larger"])
+    def test_matches_numpy(self, order_a, order_b, m, k, n):
+        rng = np.random.default_rng([m, k, n])
+        a = np.asarray(rng.standard_normal((m, k)), order=order_a)
+        b = np.asarray(rng.standard_normal((k, n)), order=order_b)
+        out = linalg.matmul(a, b)
+        assert out.shape == (m, n)
+        assert out.flags.c_contiguous
+        assert within_product_ulps(out, a, b, 4)
+
+    @pytest.mark.parametrize("order_a", ["C", "F"])
+    @pytest.mark.parametrize("order_b", ["C", "F"])
+    def test_contiguous_operands_are_not_copied(self, order_a, order_b):
+        rng = np.random.default_rng(0)
+        a = np.asarray(rng.standard_normal((300, 40)), order=order_a)
+        b = np.asarray(rng.standard_normal((40, 200)), order=order_b)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            out = linalg.matmul(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a copy of a (96 KB) or b (64 KB) would add 0.2 or 0.13 of the 480 KB output
+        assert (peak - start) <= 1.1 * out.nbytes
+
+    def test_non_contiguous_operand_is_copied(self):
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((10, 16))[:, ::2]
+        b = rng.standard_normal((8, 12))[::-1]
+        out = linalg.matmul(a, b)
+        assert out.flags.c_contiguous
+        assert within_product_ulps(out, a, b, 4)
+
+
 class TestSymEigen:
+    @pytest.mark.parametrize("n, seed", [(5, 0), (40, 1), (200, 2)])
+    def test_dense_path_bit_identical_to_numpy_eigh(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        a = (a + a.T) / 2
+        values, vectors = np.linalg.eigh(a)
+        eig = linalg.sym_eigen(a)
+        assert np.array_equal(eig.values, values)
+        assert np.array_equal(eig.vectors, vectors)
+
+    def test_dense_path_bit_identical_on_a_repeated_eigenvalue(self):
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((30, 30)))
+        spectrum = np.repeat([0.0, 1.0, 2.5], [10, 15, 5])
+        a = (q * spectrum) @ q.T
+        values, vectors = np.linalg.eigh(a)
+        eig = linalg.sym_eigen(a)
+        assert np.array_equal(eig.values, values)
+        assert np.array_equal(eig.vectors, vectors)
+
     def test_diagonal(self):
         eig = linalg.sym_eigen(np.diag([3.0, 1.0, 2.0]))
         assert np.allclose(eig.values, [1.0, 2.0, 3.0])

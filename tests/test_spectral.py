@@ -268,6 +268,20 @@ class TestNormalizedCuts:
         lab = spectral.normalized_cuts(w, 1, seed=0)
         assert np.array_equal(lab.labels, np.zeros(5, dtype=int))
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_eigengap_is_the_laplacian_gap(self, k):
+        w = spectral.build_affinity(np.random.default_rng(10).standard_normal((40, 40))).w
+        inv = 1.0 / np.sqrt(w.sum(axis=1))
+        values = np.linalg.eigvalsh(np.eye(40) - inv[:, None] * w * inv[None, :])
+        lab = spectral.normalized_cuts(w, k, seed=0)
+        assert lab.eigengap == pytest.approx(values[k] - values[k - 1], abs=1e-12)
+        assert lab.eigen_tie == (lab.eigengap < spectral.EIGEN_TIE_TOL)
+
+    def test_eigengap_null_without_a_next_eigenvalue(self):
+        at_k_equal_n = spectral.normalized_cuts(np.eye(5), 5, seed=0)
+        assert at_k_equal_n.eigengap is None and not at_k_equal_n.eigen_tie
+        assert spectral.normalized_cuts(np.zeros((6, 6)), 3, seed=0).eigengap is None
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 25))
     def test_laplacian_positive_semidefinite(self, seed, n):
@@ -366,6 +380,10 @@ class TestLanczosPath:
         assert bound >= exact - 1e-12
         assert lanczos.eigen_tie == dense.eigen_tie
         assert lanczos.zero_degree == dense.zero_degree
+        for labeling in (dense, lanczos):
+            assert labeling.eigen_tie == (labeling.eigengap < spectral.EIGEN_TIE_TOL)
+        # the Lanczos gap reads 1 - theta >= lambda_{k+1} for lambda_{k+1}
+        assert lanczos.eigengap >= dense.eigengap - 1e-12
         return dense, lanczos, bound - exact
 
     def test_noisy_union(self, monkeypatch, noisy_600):
