@@ -5,8 +5,9 @@ to LAPACK, and partial symmetric eigensolves to ARPACK.
 
 One BLAS per run. numpy and scipy link separate OpenBLAS libraries, each
 with its own thread pool, and the idle threads of one pool spin against the
-other's on a small machine. ARPACK and ``solve_spd``'s Cholesky can only run
-on scipy's, so every threaded BLAS or LAPACK call of an ``lsr1``/``lsr2``
+other's on a small machine. ARPACK and ``solve_spd``'s Cholesky (scipy's
+LAPACK ``potrf`` and ``potrs``, called with no wrapper in between) can only
+run on scipy's, so every threaded BLAS or LAPACK call of an ``lsr1``/``lsr2``
 ``segment`` run goes there too:
 
 * matrix products through ``matmul`` (scipy's ``dgemm``): the ridge
@@ -19,10 +20,8 @@ on scipy's, so every threaded BLAS or LAPACK call of an ``lsr1``/``lsr2``
 
 The numpy calls left in such a run are element-wise, or level-1 products
 and norms of single vectors and of the d x d system, which numpy's OpenBLAS
-runs on the calling thread up to 10 000 entries. The one exception is the
-Frobenius norm of the n x n system of a d >= n ridge solve, one threaded
-``ddot`` per solve once n > 100. numpy's BLAS still serves code outside
-that run: ``solvers.lsr_constrained``'s full SVD and products,
+runs on the calling thread up to 10 000 entries. numpy's BLAS still serves
+code outside that run: ``solvers.lsr_constrained``'s full SVD and products,
 ``pca_project``'s rare thin-SVD fallback, the check suites' products on
 small matrices, and ``datagen``, which runs only at set-up.
 """
@@ -35,6 +34,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 SV_CUTOFF = 1e-10
 
@@ -73,7 +73,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise DimensionMismatch(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.shape[0] == 0 or m.shape[1] == 0:
         raise DimensionMismatch(f"{name} must be nonempty, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NonFiniteMatrix(f"{name} contains non-finite entries")
     return m
 
@@ -118,13 +118,17 @@ def solve_spd(a, b) -> np.ndarray:
         raise DimensionMismatch(
             f"rhs has {b_arr.shape[0]} rows, matrix is {a.shape[0]}x{a.shape[1]}"
         )
-    if not np.all(np.isfinite(b_arr)):
+    if not np.isfinite(b_arr).all():
         raise NonFiniteMatrix("rhs contains non-finite entries")
-    try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    return scipy.linalg.cho_solve(factor, b_arr, check_finite=False)
+    factor, info = dpotrf(a, lower=1, clean=0)
+    if info > 0:
+        raise NotPositiveDefinite(f"{info}-th leading minor is not positive definite")
+    if info < 0:
+        raise ValueError(f"LAPACK potrf rejected argument {-info}")
+    s, info = dpotrs(factor, b_arr, lower=1)
+    if info < 0:
+        raise ValueError(f"LAPACK potrs rejected argument {-info}")
+    return s
 
 
 def sym_eigen(a, count: int | None = None) -> SymEigen:

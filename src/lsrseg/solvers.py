@@ -9,8 +9,8 @@ column as a combination of the others:
   closed form Z = -P / diag(P) with P = (X^T X + lam*I)^{-1}.
 * ``lsr2``             the unconstrained ridge form,
   closed form Z = (X^T X + lam*I)^{-1} X^T X = I - lam*P, with the same P.
-* ``column_oracle_ridge``  the slow reference: one independent SPD solve per
-  column, used to cross-check the closed forms.
+* ``column_oracle_ridge``  the per-column reference: one independent SPD
+  solve per column, used to cross-check the closed forms.
 
 For d < n both ridge forms come from one d x d solve instead of P: with
 Y = (X X^T + lam*I_d)^{-1} X, the Woodbury identity gives lam*P = I - X^T Y,
@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dnrm2
 
 from . import linalg
 from .datagen import DataMatrix
@@ -188,7 +189,7 @@ def _check_divisors(divisors: np.ndarray, system: np.ndarray, columns: np.ndarra
     """Raise LambdaTooSmall for the first divisor within ROUNDING_MARGIN times
     its rounding error, scale * eps * ||system||_F * ||columns[:, i]||^2: to
     first order, solving with `system` perturbs divisor i by at most that."""
-    rounding = scale * np.finfo(np.float64).eps * np.linalg.norm(system)
+    rounding = scale * np.finfo(np.float64).eps * dnrm2(system.ravel())
     rounding = rounding * np.einsum("ij,ij->j", columns, columns)
     unresolved = np.nonzero(~(divisors > ROUNDING_MARGIN * rounding))[0]
     if unresolved.size:
@@ -262,21 +263,25 @@ def column_oracle_ridge(x, lam: float, zero_diag: bool = True) -> Coefficients:
 
     Deliberately avoids the shared-inverse shortcut so it can serve as an
     oracle for ``lsr1`` (zero_diag=True) and ``lsr2`` (zero_diag=False).
+    The columns share only lam added to the Gram diagonal, X^T X + lam*I
+    formed once; each column still factors and solves its own block of it
+    (without its own row and column when zero_diag) by its own
+    ``linalg.solve_spd`` call.
     """
     lam = _check_lambda(lam)
     gram = _gram(data_array(x), "X^T X")
     n = gram.shape[0]
+    system = gram + lam * np.eye(n)
     z = np.zeros((n, n))
+    # row i of `others`: every column index but i, column i's dictionary
+    others = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
     for i in range(n):
-        if zero_diag:
-            if n == 1:
-                continue
-            keep = np.arange(n) != i
-        else:
-            keep = np.ones(n, dtype=bool)
-        m = int(keep.sum())
-        # the column's own normal equations over its dictionary's Gram block
-        z[keep, i] = linalg.solve_spd(
-            gram[np.ix_(keep, keep)] + lam * np.eye(m), gram[keep, i]
-        )
+        if not zero_diag:
+            z[:, i] = linalg.solve_spd(system, gram[:, i])
+        elif n > 1:
+            # the column's own normal equations over its dictionary's Gram block
+            dictionary = others[i]
+            z[dictionary, i] = linalg.solve_spd(
+                system.take(dictionary, 0).take(dictionary, 1), gram[dictionary, i]
+            )
     return Coefficients(z, lam, LSR1 if zero_diag else LSR2)

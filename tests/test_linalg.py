@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -58,7 +59,7 @@ class TestSolveSpd:
         assert np.linalg.norm(a @ s - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_not_positive_definite(self):
-        with pytest.raises(linalg.NotPositiveDefinite):
+        with pytest.raises(linalg.NotPositiveDefinite, match="2-th leading minor"):
             linalg.solve_spd(np.diag([1.0, -1.0]), np.eye(2))
 
     def test_dimension_mismatch(self):
@@ -74,6 +75,50 @@ class TestSolveSpd:
         assert np.array_equal(linalg.solve_spd(garbage, b), linalg.solve_spd(a, b))
         assert np.array_equal(linalg.sym_eigen(garbage).values, linalg.sym_eigen(a).values)
         assert np.array_equal(linalg.sym_eigen(garbage).vectors, linalg.sym_eigen(a).vectors)
+
+    @pytest.mark.parametrize("order_a", ["C", "F"])
+    @pytest.mark.parametrize("order_b", ["C", "F"])
+    @pytest.mark.parametrize("upper", ["symmetric", "garbage"])
+    @pytest.mark.parametrize("n, nrhs", [(1, None), (1, 3), (6, None), (6, 4), (40, 7)],
+                             ids=["n1_vector", "n1_matrix", "vector", "matrix", "larger"])
+    def test_bit_identical_to_cho_factor_and_cho_solve(self, order_a, order_b, upper, n, nrhs):
+        # solve_spd calls LAPACK's potrf and potrs itself: the routines
+        # scipy's cho_factor and cho_solve wrap, on the same inputs
+        rng = np.random.default_rng([n, nrhs or 0])
+        g = rng.standard_normal((n, n))
+        a = g.T @ g + np.eye(n)
+        if upper == "garbage":
+            a = np.tril(a) + np.triu(rng.standard_normal((n, n)), 1)
+        a = np.asarray(a, order=order_a)
+        b = np.asarray(rng.standard_normal((n,) if nrhs is None else (n, nrhs)), order=order_b)
+        a_before, b_before = a.copy(), b.copy()
+        expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), b)
+        out = linalg.solve_spd(a, b)
+        assert out.shape == expected.shape
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+
+    def test_does_not_go_through_scipy_wrappers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_spd went through a scipy.linalg wrapper")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", refuse)
+        monkeypatch.setattr(scipy.linalg, "cho_solve", refuse)
+        assert np.array_equal(linalg.solve_spd(4.0 * np.eye(3), np.ones(3)), np.full(3, 0.25))
+
+    @pytest.mark.parametrize("where", ["a", "b"])
+    def test_nan_raises(self, where):
+        a, b = np.eye(3), np.ones((3, 2))
+        {"a": a, "b": b}[where][1, 0] = np.nan
+        with pytest.raises(linalg.NonFiniteMatrix):
+            linalg.solve_spd(a, b)
+
+    @pytest.mark.parametrize("routine", ["dpotrf", "dpotrs"])
+    def test_illegal_argument_is_raised(self, monkeypatch, routine):
+        # LAPACK's info < 0 (an illegal argument) is an error, never a result
+        monkeypatch.setattr(linalg, routine, lambda m, *args, **kwargs: (m, -2))
+        with pytest.raises(ValueError, match="argument 2"):
+            linalg.solve_spd(np.eye(2), np.ones(2))
 
     def test_tolerates_float_drift(self):
         a = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])

@@ -363,6 +363,43 @@ class TestColumnOracle:
         with pytest.raises(solvers.NonPositiveLambda):
             solvers.column_oracle_ridge(np.eye(2), -1.0)
 
+    @pytest.mark.parametrize("zero_diag", [True, False])
+    @pytest.mark.parametrize("d, n", [(5, 9), (9, 5), (3, 1), (4, 2)],
+                             ids=["d_below_n", "d_above_n", "n1", "n2"])
+    def test_bit_identical_to_per_column_system(self, zero_diag, d, n):
+        # reference: each column builds its own block and adds its own lam*I;
+        # forming X^T X + lam*I once puts lam on the same entries
+        x = np.random.default_rng([d, n]).standard_normal((d, n))
+        lam = 0.3
+        gram = linalg.matmul(x.T, x)
+        expected = np.zeros((n, n))
+        for i in range(n):
+            if zero_diag and n == 1:
+                continue
+            keep = np.arange(n) != i if zero_diag else np.ones(n, dtype=bool)
+            m = int(keep.sum())
+            expected[keep, i] = linalg.solve_spd(
+                gram[np.ix_(keep, keep)] + lam * np.eye(m), gram[keep, i]
+            )
+        z = solvers.column_oracle_ridge(x, lam, zero_diag=zero_diag).z
+        assert np.array_equal(z.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("zero_diag", [True, False])
+    def test_one_solve_per_column(self, monkeypatch, zero_diag):
+        calls = []
+        solve_spd = linalg.solve_spd
+
+        def counting(a, b):
+            calls.append((a.shape, b.shape))
+            return solve_spd(a, b)
+
+        monkeypatch.setattr(linalg, "solve_spd", counting)
+        n = 6
+        solvers.column_oracle_ridge(np.random.default_rng(2).standard_normal((4, n)), 0.5,
+                                    zero_diag=zero_diag)
+        m = n - 1 if zero_diag else n
+        assert calls == [((m, m), (m,))] * n
+
 
 LAMBDA_SOLVERS = {
     "lsr1": lambda lam: solvers.lsr1(np.eye(3), lam),
