@@ -71,7 +71,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got ndim={m.ndim}")
-    if m.shape[0] == 0 or m.shape[1] == 0:
+    return _nonempty_finite(m, name)
+
+
+def _nonempty_finite(m: np.ndarray, name: str) -> np.ndarray:
+    if m.size == 0:
         raise DimensionMismatch(f"{name} must be nonempty, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise NonFiniteMatrix(f"{name} contains non-finite entries")
@@ -162,18 +166,23 @@ def pseudo_inverse(a) -> np.ndarray:
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values of `a`, descending."""
-    return np.linalg.svd(as_matrix(a), compute_uv=False)
+    """Singular values of `a`, descending along the last axis: one row per
+    matrix of a nonempty finite (..., m, n) stack, a single 2-D matrix
+    included, by one batched LAPACK ``gesdd`` call."""
+    m = np.asarray(a, dtype=np.float64)
+    if m.ndim < 2:
+        raise DimensionMismatch(f"matrix must be 2-D or a stack of them, got ndim={m.ndim}")
+    return np.linalg.svd(_nonempty_finite(m, "matrix"), compute_uv=False)
 
 
-def numeric_rank(s: np.ndarray) -> int:
-    """The rank cut: how many of the descending singular values `s` exceed
-    SV_CUTOFF*s[0], or 0 when s[0] is 0."""
-    if s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > SV_CUTOFF * s[0]))
+def numeric_rank(s: np.ndarray):
+    """The rank cut along the last axis: how many of the descending singular
+    values `s` exceed SV_CUTOFF*s[..., 0], so 0 where s[..., 0] is 0. An int
+    for one 1-D `s`, an int array for a stack."""
+    rank = np.count_nonzero(s > SV_CUTOFF * s[..., :1], axis=-1)
+    return int(rank) if np.ndim(rank) == 0 else rank
 
 
 def matrix_rank(a) -> int:
     """Numeric rank: number of singular values above SV_CUTOFF*sigma_max."""
-    return numeric_rank(singular_values(a))
+    return numeric_rank(singular_values(as_matrix(a)))

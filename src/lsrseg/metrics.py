@@ -162,34 +162,41 @@ def block_diag_violation(z, truth) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Criteria for the EBD condition checks.
+# Criteria for the EBD condition checks. Each takes an (..., m, n) stack and
+# returns one value per matrix: an array for a stack, a float for one matrix.
 # ---------------------------------------------------------------------------
 
-def l1_norm(z: np.ndarray) -> float:
-    return float(np.abs(z).sum())
+def _per_matrix(values) -> float | np.ndarray:
+    return float(values) if np.ndim(values) == 0 else values
 
 
-def frobenius_norm(z: np.ndarray) -> float:
-    return float(np.linalg.norm(z, "fro"))
+def l1_norm(z: np.ndarray) -> float | np.ndarray:
+    return _per_matrix(np.abs(z).sum(axis=(-2, -1)))
 
 
-def frobenius_norm_sq(z: np.ndarray) -> float:
-    return float(np.sum(z * z))
+def frobenius_norm(z: np.ndarray) -> float | np.ndarray:
+    # the BLAS dot product np.linalg.norm(z, "fro") takes of one matrix
+    flat = np.reshape(z, np.shape(z)[:-2] + (-1,))
+    return _per_matrix(np.sqrt(np.vecdot(flat, flat)))
 
 
-def nuclear_norm(z: np.ndarray) -> float:
-    return float(linalg.singular_values(z).sum())
+def frobenius_norm_sq(z: np.ndarray) -> float | np.ndarray:
+    return _per_matrix((z * z).sum(axis=(-2, -1)))
 
 
-def gram_l1(z: np.ndarray) -> float:
-    return float(np.abs(z.T @ z).sum())
+def nuclear_norm(z: np.ndarray) -> float | np.ndarray:
+    return _per_matrix(linalg.singular_values(z).sum(axis=-1))
 
 
-def rank_criterion(z: np.ndarray) -> float:
-    return float(linalg.matrix_rank(z))
+def gram_l1(z: np.ndarray) -> float | np.ndarray:
+    return _per_matrix(np.abs(np.swapaxes(z, -1, -2) @ z).sum(axis=(-2, -1)))
 
 
-def msr_criterion(z: np.ndarray) -> float:
+def rank_criterion(z: np.ndarray) -> float | np.ndarray:
+    return _per_matrix(np.asarray(linalg.numeric_rank(linalg.singular_values(z)), dtype=float))
+
+
+def msr_criterion(z: np.ndarray) -> float | np.ndarray:
     """l1 plus the nuclear norm."""
     return l1_norm(z) + nuclear_norm(z)
 
@@ -197,8 +204,12 @@ def msr_criterion(z: np.ndarray) -> float:
 def power_criterion(p: float, s: float = 1.0):
     """(sum_ij |Z_ij|^p)^s. Additivity only holds for s = 1."""
 
-    def criterion(z: np.ndarray) -> float:
-        return float(np.sum(np.abs(z) ** p) ** s)
+    def criterion(z: np.ndarray) -> float | np.ndarray:
+        total = (np.abs(z) ** p).sum(axis=(-2, -1))
+        if s != 1.0:
+            # one C pow per matrix: numpy's vectorized power rounds differently
+            total = np.reshape([t ** s for t in np.ravel(total).tolist()], np.shape(total))
+        return _per_matrix(total)
 
     return criterion
 
@@ -216,10 +227,97 @@ EBD_TABLE = {
 }
 
 
-def _ebd_witness(trial: int, z: np.ndarray, **values) -> dict:
-    witness = {"trial": trial, "z": z.tolist()}
-    witness.update({k: float(v) if np.isscalar(v) else v for k, v in values.items()})
-    return witness
+@dataclass(frozen=True)
+class _EbdTrials:
+    """The drawn trials: each trial's block shape (n1, n2), and per shape the
+    ascending trial indices and the stacks of their Z and column
+    permutations."""
+
+    shapes: list[tuple[int, int]]
+    groups: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+    def z(self, trial: int) -> np.ndarray:
+        index, z, _ = self.groups[self.shapes[trial]]
+        return z[np.searchsorted(index, trial)]
+
+
+def _draw_ebd_trials(trials: int, seed: int) -> _EbdTrials:
+    rng = np.random.default_rng(seed)
+    shapes, by_shape = [], {}
+    for trial in range(trials):
+        n1 = int(rng.integers(2, 6))
+        n2 = int(rng.integers(2, 6))
+        n = n1 + n2
+        while True:
+            full = rng.standard_normal((n, n))
+            off_mass = np.abs(full[:n1, n1:]).sum() + np.abs(full[n1:, :n1]).sum()
+            if off_mass >= 1e-6:
+                break
+        shapes.append((n1, n2))
+        by_shape.setdefault((n1, n2), []).append((trial, full, rng.permutation(n)))
+    # each shape's draws are freed as soon as they are stacked
+    groups = {
+        shape: tuple(np.array(column) for column in zip(*by_shape.pop(shape)))
+        for shape in list(by_shape)
+    }
+    return _EbdTrials(shapes, groups)
+
+
+def _block_diagonal(z: np.ndarray, n1: int) -> np.ndarray:
+    """Z_D: a copy of the (stack of) Z with the off-diagonal blocks zeroed."""
+    zd = z.copy()
+    zd[..., :n1, n1:] = 0.0
+    zd[..., n1:, :n1] = 0.0
+    return zd
+
+
+def _ebd_counterexamples(f, trials: _EbdTrials, nonnegative: bool) -> dict[str, dict]:
+    values = {key: np.empty(len(trials.shapes)) for key in ("z", "zd", "zp", "a", "d")}
+    for (n1, _), (index, z, perms) in trials.groups.items():
+        if nonnegative:
+            z = np.abs(z)
+        stacks = {
+            "z": z,
+            "zd": _block_diagonal(z, n1),
+            "zp": np.take_along_axis(z, perms[:, np.newaxis, :], axis=2),
+            "a": np.ascontiguousarray(z[:, :n1, :n1]),
+            "d": np.ascontiguousarray(z[:, n1:, n1:]),
+        }
+        for key, stack in stacks.items():
+            out = np.asarray(f(stack), dtype=np.float64)
+            if out.shape != index.shape:
+                raise ValueError(
+                    f"criterion gave shape {out.shape} for {index.size} matrices; "
+                    "it must give one value per matrix of an (..., m, n) stack"
+                )
+            values[key][index] = out
+
+    fz, fzd, fzp, fa, fd = (values[key] for key in ("z", "zd", "zp", "a", "d"))
+    scale = 1.0 + np.abs(fz)
+    # condition -> (which trials fail it, the values its witness carries)
+    tests = {
+        "permutation": (np.abs(fz - fzp) > 1e-9 * scale, {"f_z": fz, "f_zp": fzp}),
+        "dominance": (fz - fzd <= 1e-7 * scale, {"f_z": fz, "f_zd": fzd}),
+        "additivity": (np.abs(fzd - (fa + fd)) > 1e-9 * (1.0 + np.abs(fzd)),
+                       {"f_zd": fzd, "f_a": fa, "f_d": fd}),
+    }
+    # keyed in the order the failures occur, conditions of one trial in the above order
+    first = sorted(
+        ((int(np.argmax(fails)), condition) for condition, (fails, _) in tests.items()
+         if fails.any()),
+        key=lambda hit: hit[0],
+    )
+    counterexamples = {}
+    for trial, condition in first:
+        n1, z = trials.shapes[trial][0], trials.z(trial)
+        if nonnegative:
+            z = np.abs(z)
+        if condition == "additivity":
+            z = _block_diagonal(z, n1)
+        counterexamples[condition] = {"trial": trial, "z": z.tolist()} | {
+            name: float(v[trial]) for name, v in tests[condition][1].items()
+        }
+    return counterexamples
 
 
 def check_ebd(
@@ -230,54 +328,26 @@ def check_ebd(
 ) -> dict[str, dict]:
     """Numerically test the three enforced-block-diagonal conditions on f.
 
-    Per trial a random 2-block matrix Z = [[A, B], [C, D]] is drawn and we
-    require (1) f(Z) = f(ZP) for a random permutation P, (2) f(Z) > f(Z_D)
-    where Z_D zeroes the off-diagonal blocks (strict because the generated
-    off-blocks carry mass), and (3) f(Z_D) = f(A) + f(D). Returns the
-    first counterexample per failed condition, keyed "permutation",
-    "dominance" or "additivity"; f meets every condition without a key. A
-    condition is no longer tested once it has one.
+    Per trial a random 2-block matrix Z = [[A, B], [C, D]] (|Z| when
+    ``nonnegative``) and a random column permutation P are drawn, and we
+    require (1) f(Z) = f(ZP), (2) f(Z) > f(Z_D) where Z_D zeroes the
+    off-diagonal blocks (strict, by 1e-7 relative, because the generated
+    off-blocks carry mass), and (3) f(Z_D) = f(A) + f(D), the equalities to
+    1e-9 relative. Returns the first counterexample per failed condition,
+    keyed "permutation", "dominance" or "additivity"; f meets every
+    condition without a key.
+
+    f takes an (..., m, n) stack and returns one value per matrix, as the
+    EBD_TABLE criteria and ``power_criterion`` do. The trials are grouped by
+    their block sizes (n1, n2), 16 shapes; f runs once on each shape's
+    stacks of Z, Z_D, ZP, A and D, and the conditions are array comparisons.
+    A condition's counterexample is its failing trial of lowest index. The
+    trials are drawn in sequence from one generator, the permutation on
+    every trial, so they do not depend on f. (Earlier versions stopped
+    drawing it once permutation had failed, which changed the later trials
+    of such an f; no EBD_TABLE or power criterion fails permutation.)
     """
-    rng = np.random.default_rng(seed)
-    counterexamples: dict[str, dict] = {}
-
-    for trial in range(trials):
-        n1 = int(rng.integers(2, 6))
-        n2 = int(rng.integers(2, 6))
-        n = n1 + n2
-        while True:
-            full = rng.standard_normal((n, n))
-            if nonnegative:
-                full = np.abs(full)
-            off_mass = np.abs(full[:n1, n1:]).sum() + np.abs(full[n1:, :n1]).sum()
-            if off_mass >= 1e-6:
-                break
-        a = full[:n1, :n1]
-        d = full[n1:, n1:]
-        zd = np.zeros_like(full)
-        zd[:n1, :n1] = a
-        zd[n1:, n1:] = d
-
-        fz = f(full)
-        fzd = f(zd)
-        scale = 1.0 + abs(fz)
-
-        if "permutation" not in counterexamples:
-            fzp = f(full[:, rng.permutation(n)])
-            if abs(fz - fzp) > 1e-9 * scale:
-                counterexamples["permutation"] = _ebd_witness(trial, full, f_z=fz, f_zp=fzp)
-        if "dominance" not in counterexamples and (
-            fz < fzd - 1e-9 * scale or fz - fzd <= 1e-7 * scale
-        ):
-            counterexamples["dominance"] = _ebd_witness(trial, full, f_z=fz, f_zd=fzd)
-        if "additivity" not in counterexamples:
-            fa, fd = f(a), f(d)
-            if abs(fzd - (fa + fd)) > 1e-9 * (1.0 + abs(fzd)):
-                counterexamples["additivity"] = _ebd_witness(
-                    trial, zd, f_zd=fzd, f_a=fa, f_d=fd
-                )
-
-    return counterexamples
+    return _ebd_counterexamples(f, _draw_ebd_trials(trials, seed), nonnegative)
 
 
 def check_unit_columns(mat: np.ndarray) -> np.ndarray:
@@ -363,9 +433,10 @@ def ebd_conditions_suite(trials: int, seed: int) -> dict:
     row carries the criterion's counterexamples, so rank's expected
     dominance failure comes with its witness; the suite's witness is the
     first row that is not ok."""
+    draws = _draw_ebd_trials(trials, seed)
     results = []
     for name, (f, nonneg, expected) in EBD_TABLE.items():
-        found = check_ebd(f, trials=trials, seed=seed, nonnegative=nonneg)
+        found = _ebd_counterexamples(f, draws, nonneg)
         results.append({"criterion": name, "expected": expected, "counterexamples": found,
                         "ok": sorted(found) == sorted(expected)})
     witness = next((row for row in results if not row["ok"]), None)

@@ -17,6 +17,13 @@ def run(*args):
     return cli.main([str(a) for a in args])
 
 
+SOLVER_ARGS = {
+    "lsr1": ["--solver", "lsr1", "--lambda", 0.01],
+    "lsr2": ["--solver", "lsr2", "--lambda", 0.01],
+    "constrained": ["--solver", "constrained"],
+}
+
+
 @pytest.fixture()
 def dataset(tmp_path):
     path = tmp_path / "data.csv"
@@ -392,6 +399,137 @@ class TestExitCodes:
         assert run("segment", "--input", dataset, "--output", tmp_path / "r.json",
                    "--solver", "lsr1", "--lambda", 0.1,
                    "--pca-dim", 99) == cli.EXIT_NUMERIC
+
+
+def _union(ambient_dim, samples, seed):
+    return datagen.generate(datagen.SubspaceSpec(
+        ambient_dim=ambient_dim, subspace_dims=(2, 2), samples_per_subspace=samples, seed=seed,
+    ))[0]
+
+
+def _column_edit(edit):
+    """Two 2-dim subspaces in R^10, 8 samples each, with one column edited."""
+
+    def build():
+        data = _union(10, (8, 8), 2)
+        x = data.x.copy()
+        edit(x)
+        return datagen.DataMatrix(x, data.labels)
+
+    return build
+
+
+def _gaussian(d, n):
+    return lambda: datagen.DataMatrix(np.random.default_rng(4).standard_normal((d, n)))
+
+
+def _coordinate_blocks(per):
+    """Three 3-dim subspaces on disjoint coordinates, `per` samples each: X^T X,
+    so every solver's Z, is exactly block diagonal, a W of three components."""
+
+    def build():
+        rng = np.random.default_rng(5)
+        x = np.zeros((9, 3 * per))
+        for b in range(3):
+            x[3 * b:3 * b + 3, b * per:(b + 1) * per] = rng.standard_normal((3, per))
+        return datagen.DataMatrix(x)
+
+    return build
+
+
+def _isolated_last(per):
+    """Two subspaces of `per` samples each plus a last sample on an axis of
+    its own: orthogonal to every other sample, an isolated node."""
+
+    def build():
+        x = _union(10, (per, per), 2).x
+        n = x.shape[1]
+        isolated = np.zeros((11, n + 1))
+        isolated[:10, :n] = x
+        isolated[10, n] = 1.0
+        return datagen.DataMatrix(isolated)
+
+    return build
+
+
+def _labels_refine_components(per, report):
+    # no predicted label spans two components, and every label is used
+    labels = np.asarray(report["predicted_labels"])
+    spans = [set(labels[b * per:(b + 1) * per]) for b in range(3)]
+    return sum(map(len, spans)) == report["n_clusters"] == len(set(labels))
+
+
+def _zero_column(x):
+    x[:, 3] = 0.0
+
+
+def _duplicate_column(x):
+    x[:, 4] = x[:, 3]
+
+
+NOT_REPRESENTABLE = "numeric error: column {} is not representable"
+
+# case -> (data, flags, {solver: (exit code, stderr text, report check)})
+ROBUSTNESS = {
+    "d_ge_n_union": (lambda: _union(40, (6, 6), 1), [], {
+        solver: (cli.EXIT_OK, "", lambda r: r["error_rate"] == 0.0)
+        for solver in SOLVER_ARGS
+    }),
+    "d_ge_n_full_rank": (_gaussian(30, 20), ["--k", 2], {
+        "lsr1": (cli.EXIT_OK, "", lambda r: r["n_samples"] == 20),
+        "lsr2": (cli.EXIT_OK, "", lambda r: r["n_samples"] == 20),
+        "constrained": (cli.EXIT_NUMERIC, NOT_REPRESENTABLE.format(0), None),
+    }),
+    "zero_column": (_column_edit(_zero_column), [], {
+        "lsr1": (cli.EXIT_OK, "", lambda r: r["zero_degree"] == [3]),
+        "lsr2": (cli.EXIT_OK, "", lambda r: r["zero_degree"] == [3]),
+        "constrained": (cli.EXIT_OK, "", lambda r: r["n_samples"] == 16),
+    }),
+    "duplicated_columns": (_column_edit(_duplicate_column), [], {
+        solver: (cli.EXIT_OK, "", lambda r: r["error_rate"] == 0.0) for solver in SOLVER_ARGS
+    }),
+    "k_above_components": (_coordinate_blocks(5), ["--k", 4], {
+        solver: (cli.EXIT_OK, "", lambda r: _labels_refine_components(5, r))
+        for solver in SOLVER_ARGS
+    }),
+    "k_above_components_lanczos": (_coordinate_blocks(70), ["--k", 5], {
+        solver: (cli.EXIT_OK, "", lambda r: _labels_refine_components(70, r))
+        for solver in ("lsr1", "lsr2")
+    }),
+    "isolated_node": (_isolated_last(8), ["--k", 2], {
+        "lsr1": (cli.EXIT_OK, "", lambda r: r["zero_degree"] == [16]),
+        # lsr2 keeps Z's diagonal: the node has a self-loop and is a cluster
+        "lsr2": (cli.EXIT_OK, "", lambda r: r["zero_degree"] == []
+                 and r["predicted_labels"].count(r["predicted_labels"][16]) == 1),
+        "constrained": (cli.EXIT_NUMERIC, NOT_REPRESENTABLE.format(16), None),
+    }),
+    "isolated_node_lanczos": (_isolated_last(100), ["--k", 2], {
+        "lsr1": (cli.EXIT_OK, "", lambda r: r["zero_degree"] == [200]),
+    }),
+}
+
+
+class TestRobustnessMatrix:
+    """Hostile segment inputs: each case's exit code, its diagnostic on
+    stderr (none on success) and the report fields that explain it."""
+
+    @pytest.mark.parametrize("case, solver", [
+        (case, solver) for case, (_, _, expected) in ROBUSTNESS.items() for solver in expected
+    ])
+    def test_segment(self, case, solver, tmp_path, capsys):
+        build, flags, expected = ROBUSTNESS[case]
+        code, diagnostic, check = expected[solver]
+        path, out = tmp_path / "data.csv", tmp_path / "report.json"
+        ingest.write_csv(build(), path)
+        capsys.readouterr()
+        assert run("segment", "--input", path, "--output", out,
+                   *SOLVER_ARGS[solver], *flags) == code
+        err = capsys.readouterr().err
+        if code == cli.EXIT_OK:
+            assert err == ""
+            assert check(json.loads(out.read_text())["report"])
+        else:
+            assert diagnostic in err and not out.exists()
 
 
 class TestCheck:

@@ -281,3 +281,41 @@ class TestRankHelpers:
 
     def test_rank_zero_matrix(self):
         assert linalg.matrix_rank(np.zeros((3, 3))) == 0
+
+    def test_singular_values_of_a_stack_are_per_matrix(self):
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((2, 3, 4, 3))
+        s = linalg.singular_values(stack)
+        assert s.shape == (2, 3, 3)
+        for index in np.ndindex(2, 3):
+            expected = np.linalg.svd(stack[index], compute_uv=False)
+            assert s[index].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.ones(3), linalg.DimensionMismatch),
+        (np.ones((0, 3, 3)), linalg.DimensionMismatch),
+        (np.ones((2, 3, 0)), linalg.DimensionMismatch),
+        (np.array([[[1.0, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]]),
+         linalg.NonFiniteMatrix),
+    ])
+    def test_singular_values_rejects_invalid_stack(self, bad, error):
+        with pytest.raises(error):
+            linalg.singular_values(bad)
+
+    def test_numeric_rank_cuts_each_row_of_a_stack(self):
+        # a full-rank matrix, one with a singular value under the cut, and
+        # an all-zero one (s[0] = 0: the cut is 0, and nothing exceeds it)
+        stack = np.stack([np.diag([2.0, 1.0, 0.5]), np.diag([1.0, 1e-14, 0.0]),
+                          np.zeros((3, 3))])
+        ranks = linalg.numeric_rank(linalg.singular_values(stack))
+        assert ranks.tolist() == [3, 1, 0]
+        assert [linalg.matrix_rank(m) for m in stack] == [3, 1, 0]
+
+    def test_numeric_rank_of_one_matrix_is_an_int(self):
+        rank = linalg.numeric_rank(linalg.singular_values(np.zeros((2, 4))))
+        assert type(rank) is int and rank == 0
+        assert type(linalg.matrix_rank(np.eye(3))) is int
+
+    def test_matrix_rank_rejects_a_stack(self):
+        with pytest.raises(linalg.DimensionMismatch, match="2-D"):
+            linalg.matrix_rank(np.ones((2, 3, 3)))

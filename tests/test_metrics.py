@@ -251,6 +251,202 @@ class TestEbdConditions:
         assert lines[1].split()[0] == "l1"
 
 
+# The criteria and the EBD check as they were written one matrix at a time,
+# kept as the reference the stacked check must reproduce bit for bit.
+def _reference_rank(z):
+    s = np.linalg.svd(z, compute_uv=False)
+    return 0 if s[0] <= 0.0 else int(np.count_nonzero(s > 1e-10 * s[0]))
+
+
+def _reference_power(p, s=1.0):
+    return lambda z: float(np.sum(np.abs(z) ** p) ** s)
+
+
+REFERENCE_CRITERIA = {
+    "l1": lambda z: float(np.abs(z).sum()),
+    "frobenius": lambda z: float(np.linalg.norm(z, "fro")),
+    "frobenius-sq": lambda z: float(np.sum(z * z)),
+    "nuclear": lambda z: float(np.linalg.svd(z, compute_uv=False).sum()),
+    "gram-l1": lambda z: float(np.abs(z.T @ z).sum()),
+    "rank": lambda z: float(_reference_rank(z)),
+    "msr": lambda z: float(np.abs(z).sum()) + float(np.linalg.svd(z, compute_uv=False).sum()),
+}
+EBD_CONDITIONS = {"permutation", "dominance", "additivity"}
+POWER_CRITERIA = {"sum |Z|^0.5": (0.5, 1.0), "(sum |Z|^2)^0.5": (2.0, 0.5)}
+
+
+def _reference_check_ebd(f, trials, seed, nonnegative=False):
+    """The sequential check: one trial and one matrix at a time, the
+    permutation drawn only while that condition is untested."""
+    rng = np.random.default_rng(seed)
+    found = {}
+    for trial in range(trials):
+        n1 = int(rng.integers(2, 6))
+        n2 = int(rng.integers(2, 6))
+        n = n1 + n2
+        while True:
+            full = rng.standard_normal((n, n))
+            if nonnegative:
+                full = np.abs(full)
+            off_mass = np.abs(full[:n1, n1:]).sum() + np.abs(full[n1:, :n1]).sum()
+            if off_mass >= 1e-6:
+                break
+        a = full[:n1, :n1]
+        d = full[n1:, n1:]
+        zd = np.zeros_like(full)
+        zd[:n1, :n1] = a
+        zd[n1:, n1:] = d
+        fz = f(full)
+        fzd = f(zd)
+        scale = 1.0 + abs(fz)
+        if "permutation" not in found:
+            fzp = f(full[:, rng.permutation(n)])
+            if abs(fz - fzp) > 1e-9 * scale:
+                found["permutation"] = {"trial": trial, "z": full.tolist(),
+                                        "f_z": float(fz), "f_zp": float(fzp)}
+        if "dominance" not in found and (
+            fz < fzd - 1e-9 * scale or fz - fzd <= 1e-7 * scale
+        ):
+            found["dominance"] = {"trial": trial, "z": full.tolist(),
+                                  "f_z": float(fz), "f_zd": float(fzd)}
+        if "additivity" not in found:
+            fa, fd = f(a), f(d)
+            if abs(fzd - (fa + fd)) > 1e-9 * (1.0 + abs(fzd)):
+                found["additivity"] = {"trial": trial, "z": zd.tolist(), "f_zd": float(fzd),
+                                       "f_a": float(fa), "f_d": float(fd)}
+    return found
+
+
+def _assert_same_counterexamples(found, reference):
+    """The counterexamples, in order, up to the reference's first permutation
+    failure, after which it stops drawing permutations and its trials
+    differ. ZP is summed row by row, where the reference's z[:, perm] was
+    summed column by column, so f_zp may differ in its last bits."""
+    last = reference.get("permutation", {"trial": np.inf})["trial"]
+    found, reference = ([(c, dict(w)) for c, w in witnesses.items() if w["trial"] <= last]
+                        for witnesses in (found, reference))
+    for (_, ours), (_, theirs) in zip(found, reference):
+        if "f_zp" in ours:
+            assert ours.pop("f_zp") == pytest.approx(theirs.pop("f_zp"), rel=1e-14, abs=0)
+    assert json.dumps(found) == json.dumps(reference)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestStackedEbdCheck:
+    @pytest.mark.parametrize("seed", [0, 1, 31])
+    def test_suite_equals_sequential_reference(self, seed):
+        results = []
+        for name, (_, nonnegative, expected) in metrics.EBD_TABLE.items():
+            found = _reference_check_ebd(REFERENCE_CRITERIA[name], 500, seed, nonnegative)
+            results.append({"criterion": name, "expected": expected, "counterexamples": found,
+                            "ok": sorted(found) == sorted(expected)})
+        suite = metrics.ebd_conditions_suite(500, seed)
+        # json.dumps keeps key order and prints each float's shortest repr,
+        # so equal dumps mean equal trials, matrices and criterion bits
+        assert json.dumps(suite["results"]) == json.dumps(results)
+        assert suite["passed"]
+
+    @pytest.mark.parametrize("name", sorted(POWER_CRITERIA))
+    @pytest.mark.parametrize("seed", [0, 1, 31])
+    def test_power_criteria_equal_sequential_reference(self, name, seed):
+        p, s = POWER_CRITERIA[name]
+        found = metrics.check_ebd(metrics.power_criterion(p, s), trials=300, seed=seed)
+        reference = _reference_check_ebd(_reference_power(p, s), 300, seed)
+        assert json.dumps(found) == json.dumps(reference)
+        assert set(found) == (set() if s == 1.0 else {"additivity"})
+
+    @pytest.mark.parametrize("seed", [0, 1, 4])
+    def test_permutation_failure_sits_on_the_reference_trial(self, seed):
+        # l1 plus a flag on the corner entry: the flag moves with the first
+        # column, so permutation fails, and additivity fails when D's corner
+        # is flagged too, each on a later trial
+        def flagged(z):
+            return metrics.l1_norm(z) + (z[..., 0, 0] > 2.0)
+
+        found = metrics.check_ebd(flagged, trials=200, seed=seed)
+        reference = _reference_check_ebd(lambda z: float(flagged(z)), 200, seed)
+        assert set(found) == {"permutation", "additivity"}
+        assert found["permutation"]["trial"] == reference["permutation"]["trial"] > 0
+        _assert_same_counterexamples(found, reference)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["additivity", "permutation", "dominance", "corner"])
+    def test_tolerances_equal_sequential_reference(self, name, seed):
+        # criteria whose condition gaps straddle the 1e-9 and 1e-7 bounds
+        # from trial to trial, so the first failing trial pins each bound
+        f = {
+            "additivity": lambda z: metrics.l1_norm(z) + 1e-8 * metrics.frobenius_norm(z),
+            "permutation": lambda z: metrics.l1_norm(z) + 4e-8 * z[..., 0, 0],
+            "dominance": lambda z: 5e-9 * metrics.l1_norm(z),
+            "corner": lambda z: z[..., 0, 0],
+        }[name]
+        found = metrics.check_ebd(f, trials=300, seed=seed)
+        reference = _reference_check_ebd(lambda z: float(f(z)), 300, seed)
+        assert name == "corner" or name in found
+        _assert_same_counterexamples(found, reference)
+
+    def test_power_criterion_takes_one_pow_per_matrix(self):
+        # numpy's vectorized x ** 0.5 is a square root, which rounds
+        # differently from the C pow a single matrix's total gets
+        f = metrics.power_criterion(2.0, 0.5)
+        stack = np.random.default_rng(12).standard_normal((4000, 2, 2))
+        assert _bits(f(stack)) == _bits([_reference_power(2.0, 0.5)(z) for z in stack])
+
+    @pytest.mark.parametrize("nonnegative", [False, True])
+    @pytest.mark.parametrize("name", [*metrics.EBD_TABLE, *POWER_CRITERIA])
+    def test_criterion_on_a_stack_equals_it_per_matrix(self, name, nonnegative):
+        if name in POWER_CRITERIA:
+            f = metrics.power_criterion(*POWER_CRITERIA[name])
+            reference = _reference_power(*POWER_CRITERIA[name])
+        else:
+            f, reference = metrics.EBD_TABLE[name][0], REFERENCE_CRITERIA[name]
+        rng = np.random.default_rng(11)
+        for m in range(2, 11):
+            stack = rng.standard_normal((6, m, m))
+            stack[3] = 0.0
+            if nonnegative:
+                stack = np.abs(stack)
+            values = f(stack)
+            assert isinstance(values, np.ndarray) and values.shape == (6,)
+            singles = [f(z) for z in stack]
+            assert all(type(v) is float for v in singles)
+            assert _bits(values) == _bits(singles) == _bits([reference(z) for z in stack])
+
+    def test_witnesses_are_floats_and_serialize(self):
+        found = {
+            name: metrics.check_ebd(f, trials=40, seed=2)
+            for name, f in (("rank", metrics.rank_criterion),
+                            ("frobenius", metrics.frobenius_norm),
+                            ("corner", lambda z: z[..., 0, 0]))
+        }
+        assert set(found["corner"]) == EBD_CONDITIONS
+        for counterexamples in found.values():
+            for witness in counterexamples.values():
+                assert type(witness["trial"]) is int
+                assert all(type(x) is float for row in witness["z"] for x in row)
+                assert all(type(v) is float for k, v in witness.items() if k.startswith("f_"))
+        assert json.loads(json.dumps(found)) == found
+
+    def test_criterion_must_give_one_value_per_matrix(self):
+        with pytest.raises(ValueError, match="one value per matrix"):
+            metrics.check_ebd(lambda z: float(np.abs(z).sum()), trials=5)
+
+    @pytest.mark.parametrize("seed", [0, 31])
+    def test_nonnegative_trials_equal_sequential_reference(self, seed):
+        # the SSQP domain takes |Z| of the same draws, witnesses included
+        found = metrics.check_ebd(metrics.rank_criterion, trials=100, seed=seed, nonnegative=True)
+        reference = _reference_check_ebd(REFERENCE_CRITERIA["rank"], 100, seed, nonnegative=True)
+        assert json.dumps(found) == json.dumps(reference)
+        assert set(found) == {"dominance"}
+        corner = metrics.check_ebd(lambda z: z[..., 0, 0], trials=20, seed=seed, nonnegative=True)
+        reference = _reference_check_ebd(lambda z: float(z[0, 0]), 20, seed, nonnegative=True)
+        assert corner["permutation"] == reference["permutation"]
+        assert min(min(row) for row in corner["permutation"]["z"]) >= 0.0
+
+
 class TestExperimentScripts:
     def test_recovery_sweep_smoke(self, monkeypatch, capsys):
         run_script("recovery_sweep", monkeypatch,
