@@ -16,7 +16,10 @@ run on scipy's, so every threaded BLAS or LAPACK call of an ``lsr1``/``lsr2``
 * dense symmetric eigensolves through ``sym_eigen`` (scipy's ``eigh`` with
   the ``evd`` driver, the same LAPACK ``syevd`` numpy's ``eigh`` calls);
 * the products of a ``sym_eigen`` Lanczos operator through
-  ``scipy.linalg.blas`` (as ``spectral``'s does), not numpy's ``@``.
+  ``scipy.linalg.blas``, not numpy's ``@``: ``spectral``'s W @ v and its
+  degree vector by ``dsymv``, which reads one triangle of the symmetric W,
+  and the bound steps' projections by ``dgemv``;
+* ``metrics.block_diag_violation``'s label masses through ``matmul``.
 
 The numpy calls left in such a run are element-wise, or level-1 products
 and norms of single vectors and of the d x d system, which numpy's OpenBLAS
@@ -135,14 +138,24 @@ def solve_spd(a, b) -> np.ndarray:
     return s
 
 
+def lanczos_start(n: int) -> np.ndarray:
+    """The fixed start vector of every Lanczos run: n standard normal draws
+    from ``default_rng(0)``. Unlike ones(n), which is an eigenvector of
+    D^{-1/2} W D^{-1/2} whenever all degrees are equal, it has (almost
+    surely) a component on every eigenvector, so the Krylov space does not
+    hinge on the product returning such a vector exactly."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
 def sym_eigen(a, count: int | None = None) -> SymEigen:
     """Eigenpairs of a symmetric matrix, eigenvalues ascending.
 
     Without ``count``, all n eigenpairs of the dense matrix `a` by LAPACK's
     ``syevd`` (scipy's), reading its lower triangle. With ``count``
     (1 <= count < n - 1), only the ``count`` largest, by ARPACK's implicitly
-    restarted Lanczos from the fixed start vector ones(n); `a` may then be a
-    ``scipy.sparse.linalg.LinearOperator``, used only through products a @ v.
+    restarted Lanczos from the fixed start vector ``lanczos_start(n)``; `a`
+    may then be a ``scipy.sparse.linalg.LinearOperator``, used only through
+    products a @ v.
     """
     if count is None:
         a = _square(a)
@@ -153,7 +166,7 @@ def sym_eigen(a, count: int | None = None) -> SymEigen:
         return SymEigen(values, vectors)
     try:
         values, vectors = scipy.sparse.linalg.eigsh(
-            a, k=count, which="LA", v0=np.ones(a.shape[0])
+            a, k=count, which="LA", v0=lanczos_start(a.shape[0])
         )
     except scipy.sparse.linalg.ArpackError as exc:
         raise ConvergenceFailure(f"Lanczos eigensolve: {exc}") from exc

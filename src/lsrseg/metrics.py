@@ -27,6 +27,8 @@ BLOCK_DIAG_ORTH_TOL = 1e-10  # lsr1 and lsr2, orthogonal subspaces
 UNIT_NORM_TOL = 1e-10  # |norm - 1| a unit column may show
 # (pair, query) entries grouping_effect_stats holds at once
 PAIR_BLOCK_ELEMENTS = 2**14
+# rows of |Z| block_diag_violation holds at once: 0.13 n x n at n = 500
+VIOLATION_BLOCK_ROWS = 64
 
 
 class LengthMismatch(ValueError):
@@ -135,27 +137,34 @@ def segmentation_error(pred, truth) -> float:
 def block_diag_violation(z, truth) -> float:
     """Share of absolute coefficient mass falling across cluster boundaries.
 
-    ``z`` is Coefficients, an Affinity (whose W is finite by construction,
-    so it is not rescanned) or a plain array, which is validated. Each
-    label's rows |Z[rows_l]| are summed by column, and the columns of the
-    other labels are added up directly rather than as total minus the
-    diagonal block, so an exactly block-diagonal Z scores exactly 0. Only
-    one label's row block is copied at a time.
+    ``z`` is Coefficients, an Affinity (whose W is finite and nonnegative by
+    construction, so it is neither rescanned nor made absolute) or a plain
+    array, which is validated. Each block of VIOLATION_BLOCK_ROWS rows of
+    |Z| is multiplied by the n x L label-indicator matrix, one BLAS product
+    (``linalg.matmul``) that gives every row's mass on each label's columns.
+    The masses on the other labels are added up directly rather than as
+    total minus the own label's, so an exactly block-diagonal Z scores
+    exactly 0. Only one block of rows of |Z| is copied at a time, and none
+    of an Affinity.
     """
-    mat = z.w if isinstance(z, spectral.Affinity) else coefficient_array(z)
+    affinity = isinstance(z, spectral.Affinity)
+    mat = z.w if affinity else coefficient_array(z)
     labels = _labels_array(truth)
-    if labels.shape[0] != mat.shape[0] or mat.shape[0] != mat.shape[1]:
+    n = mat.shape[0]
+    if labels.shape[0] != n or n != mat.shape[1]:
         raise LengthMismatch(
             f"labels length {labels.shape[0]} does not match matrix {mat.shape}"
         )
+    _, codes = np.unique(labels, return_inverse=True)
+    indicator = np.zeros((n, codes.max() + 1))
+    indicator[np.arange(n), codes] = 1.0
     total = cross = 0.0
-    for label in np.unique(labels):
-        rows = labels == label
-        block = mat[rows]
-        mass = np.abs(block, out=block).sum(axis=0)
-        del block  # free this label's rows before the next label's are copied
+    for start in range(0, n, VIOLATION_BLOCK_ROWS):
+        rows = mat[start : start + VIOLATION_BLOCK_ROWS]
+        mass = linalg.matmul(rows if affinity else np.abs(rows), indicator)
         total += mass.sum()
-        cross += mass[~rows].sum()
+        mass[np.arange(mass.shape[0]), codes[start : start + VIOLATION_BLOCK_ROWS]] = 0.0
+        cross += mass.sum()
     if total == 0.0:
         return 0.0
     return float(cross / total)

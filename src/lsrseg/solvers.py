@@ -149,6 +149,9 @@ def lsr_constrained(x) -> Coefficients:
     read X scaled by the power of two that puts its largest singular value
     in [0.5, 1): exact in floating point, and no column norm over- or
     underflows at any data scale.
+
+    A zero column i puts e_i in null(X), so row and column i of Z are zero in
+    exact arithmetic; they are set to exact zeros, as ``lsr1`` gives them.
     """
     mat = data_array(x)
     n = mat.shape[1]
@@ -172,6 +175,9 @@ def lsr_constrained(x) -> Coefficients:
         if residual > FEASIBILITY_TOL:
             raise InfeasibleColumn(int(i), residual)
         z[keep, i] = zi
+    zero = norms == 0
+    z[zero] = 0.0
+    z[:, zero] = 0.0
     return Coefficients(z, 0.0, CONSTRAINED)
 
 
@@ -239,13 +245,18 @@ def lsr1(x, lam: float) -> Coefficients:
 
     Rescales the columns of lam*P = I - X^T Y (d < n) or of P,
     Z[:, i] = -P[:, i] / P[i, i] with a zero diagonal, instead of solving
-    one reduced ridge system per column.
+    one reduced ridge system per column. For d < n that is
+    Z[:, i] = (X^T Y)[:, i] / (1 - (X^T Y)[i, i]) off the diagonal, taken in
+    one pass over X^T Y: bit for bit the rescale of I - X^T Y, since negating
+    both sides of a quotient is exact.
     """
     lam = _check_lambda(lam)
     m, thin = _ridge_inverse(x, lam)
-    if thin:
-        m = _identity_minus(m, 1.0)
-    return Coefficients(_zero_diag_rescale(m), lam, LSR1)
+    if not thin:
+        return Coefficients(_zero_diag_rescale(m), lam, LSR1)
+    m /= 1.0 - np.diag(m)  # _check_divisors has ruled out a zero divisor
+    np.fill_diagonal(m, 0.0)
+    return Coefficients(m, lam, LSR1)
 
 
 def lsr2(x, lam: float) -> Coefficients:

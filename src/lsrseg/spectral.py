@@ -7,12 +7,15 @@ eigenvectors are the top k of M = D^{-1/2} W D^{-1/2}, found by Lanczos
 from products with W alone, so neither the Laplacian nor a full
 eigendecomposition is ever formed; the (k+1)-th eigenvalue, which only the
 ``eigen_tie`` check reads, gets a lower bound on mu_{k+1} from a few Lanczos
-steps on M deflated by those k. Every product on that Lanczos path, ARPACK's
-W @ v and the bound steps' projections, goes through scipy's BLAS
-(``scipy.linalg.blas.dgemv``), the library ARPACK itself links, so each step
-wakes one BLAS thread pool: numpy links a second OpenBLAS, and on a small
-machine the idle threads of each pool spin against the other's. Everything is
-deterministic given (affinity, k, seed, restarts).
+steps on M deflated by those k. Both Krylov runs start from
+``linalg.lanczos_start``. Every product on that Lanczos path goes through
+scipy's BLAS, the library ARPACK itself links: W @ v, ARPACK's and the bound
+steps', and the degree vector W @ 1 by ``scipy.linalg.blas.dsymv``, which
+reads one triangle of the exactly symmetric W, and the bound steps'
+projections by ``dgemv``. So each step wakes one BLAS thread pool: numpy
+links a second OpenBLAS, and on a small machine the idle threads of each pool
+spin against the other's. Everything is deterministic given (affinity, k,
+seed, restarts).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
-from scipy.linalg.blas import dgemv
+from scipy.linalg.blas import dgemv, dsymv
 
 from . import linalg
 from .solvers import Coefficients, coefficient_array
@@ -56,11 +59,6 @@ LANCZOS_BOUND_STEPS = 20
 # Residual norm at which the bound steps stop: the Krylov space is invariant
 # to within it, since the eigenvalues of M lie in [-1, 1].
 LANCZOS_BREAKDOWN = 1e-10
-# A deflated ones(n) shorter than this times |ones(n)| = sqrt(n) is round-off
-# whose direction the rounding decides: ones(n) lies in the span of the top k
-# for equal cliques or a regular graph at k = 1. The bound steps then start
-# from _fallback_start instead.
-BOUND_START_REL_TOL = 1e-8
 
 
 @dataclass
@@ -212,9 +210,32 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 
 def _assign(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's nearest centre and its squared distance to it."""
     dist2 = _sq_dists(points, centers)
     labels = dist2.argmin(axis=1)
-    return labels, dist2
+    return labels, np.take_along_axis(dist2, labels[:, np.newaxis], axis=1)[:, 0]
+
+
+def _centers(points: np.ndarray, labels: np.ndarray, k: int, own_d2: np.ndarray) -> np.ndarray:
+    """The k cluster means of ``points``; an empty cluster is re-seeded, in
+    cluster order, at the point farthest from its centre, whose ``own_d2``
+    entry is then zeroed.
+
+    np.bincount adds each coordinate in point order, as the row-by-row sum of
+    ``points[labels == j].mean(axis=0)`` does, so for two or more coordinates
+    the means are bit for bit that; for one coordinate numpy's mean sums
+    pairwise and may differ in the last bits.
+    """
+    counts = np.bincount(labels, minlength=k)
+    sums = np.empty((k, points.shape[1]))
+    for c in range(points.shape[1]):
+        sums[:, c] = np.bincount(labels, weights=points[:, c], minlength=k)
+    centers = sums / np.maximum(counts, 1)[:, np.newaxis]
+    for j in np.nonzero(counts == 0)[0]:
+        far = int(own_d2.argmax())
+        centers[j] = points[far]
+        own_d2[far] = 0.0
+    return centers
 
 
 class _Lloyd(NamedTuple):
@@ -225,22 +246,11 @@ class _Lloyd(NamedTuple):
 
 
 def _lloyd(points: np.ndarray, centers: np.ndarray) -> _Lloyd:
-    labels, dist2 = _assign(points, centers)
-    own_d2 = dist2.min(axis=1)  # each point's distance to its own center
+    k = centers.shape[0]
+    labels, own_d2 = _assign(points, centers)
     objective = float(own_d2.sum())
     for iteration in range(1, KMEANS_MAX_ITER + 1):
-        new_centers = np.empty_like(centers)
-        for j in range(centers.shape[0]):
-            members = labels == j
-            if members.any():
-                new_centers[j] = points[members].mean(axis=0)
-            else:  # re-seed from the point farthest from its center
-                far = int(own_d2.argmax())
-                new_centers[j] = points[far]
-                own_d2[far] = 0.0
-        centers = new_centers
-        labels, dist2 = _assign(points, centers)
-        own_d2 = dist2.min(axis=1)
+        labels, own_d2 = _assign(points, _centers(points, labels, k, own_d2))
         new_objective = float(own_d2.sum())
         if new_objective == 0.0 or (
             objective > 0 and (objective - new_objective) / objective <= KMEANS_REL_TOL
@@ -294,11 +304,6 @@ def _orthogonalize(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _fallback_start(n: int) -> np.ndarray:
-    """The bound steps' start when ones(n) lies in the span of the top k."""
-    return np.random.default_rng(0).standard_normal(n)
-
-
 def _next_value_bound(matvec, top: np.ndarray) -> float:
     """A lower bound theta on mu_{k+1}, the largest eigenvalue of the symmetric
     M below the k whose orthonormal eigenvectors are the columns of ``top``.
@@ -306,15 +311,12 @@ def _next_value_bound(matvec, top: np.ndarray) -> float:
     theta is the top Ritz value of LANCZOS_BOUND_STEPS Lanczos steps on
     (I - V V^T) M (I - V V^T), V = ``top``, reorthogonalized against V and
     the Krylov basis at every step and ended early on breakdown. The start is
-    the deflated ones(n), or the deflated _fallback_start(n) when ones(n) lies
-    in span V to within BOUND_START_REL_TOL.
+    ARPACK's, ``linalg.lanczos_start(n)``, deflated.
     """
     n, k = top.shape
     basis = np.empty((k + LANCZOS_BOUND_STEPS, n))
     basis[:k] = top.T
-    q = _orthogonalize(basis[:k], np.ones(n))
-    if np.linalg.norm(q) < BOUND_START_REL_TOL * np.sqrt(n):
-        q = _orthogonalize(basis[:k], _fallback_start(n))
+    q = _orthogonalize(basis[:k], linalg.lanczos_start(n))
     alphas, betas = [], []
     for j in range(k, basis.shape[0]):
         basis[j] = q / np.linalg.norm(q)
@@ -339,7 +341,8 @@ def _bottom_laplacian_eigen(
     v -> s * (W (s * v)), s = diag(D^{-1/2}), mapped to 1 - mu; lambda_{k+1}
     is 1 - theta for the bound theta <= mu_{k+1} of _next_value_bound. A
     theta above mu_k + EIGEN_TIE_TOL shows that Lanczos missed an eigenvalue
-    of the top k, and the k+1 top pairs are then computed instead.
+    of the top k, and the k+1 top pairs are then computed instead. ``mat`` is
+    W in Fortran order, which dsymv reads in place.
     """
     n = mat.shape[0]
     if n <= max(DENSE_EIGEN_MAX_N, DENSE_EIGEN_N_PER_PAIR * (k + 1)):
@@ -347,13 +350,8 @@ def _bottom_laplacian_eigen(
         following = full.values[k] if k < n else np.inf
         return linalg.SymEigen(full.values[:k], full.vectors[:, :k]), following
 
-    # dgemv reads the Fortran-ordered transpose of a C-ordered W in place (a W
-    # in any other order is copied once); trans=1 takes one dot product per
-    # row of W, as numpy's W @ v does, but on ARPACK's BLAS.
-    mat_t = np.ascontiguousarray(mat).T
-
     def matvec(v):
-        return inv_sqrt * dgemv(1.0, mat_t, inv_sqrt * v.ravel(), trans=1)
+        return inv_sqrt * dsymv(1.0, mat, inv_sqrt * v.ravel())
 
     op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
     top = linalg.sym_eigen(op, count=k)
@@ -390,19 +388,22 @@ def normalized_cuts(w, k: int, seed: int = 0, restarts: int = 20) -> Labeling:
     ``zero_degree``). An all-zero affinity falls back to contiguous index
     blocks with ``degenerate`` set.
     """
-    mat = _affinity_array(w)
+    # the transpose of a C-ordered W is W, as the Fortran array dsymv reads in
+    # place (a W in any other order is copied once)
+    mat = np.ascontiguousarray(_affinity_array(w)).T
     n = mat.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
 
-    if not mat.any():
+    # W is nonnegative, so it is all zero exactly when its degrees are
+    degrees = dsymv(1.0, mat, np.ones(n))
+    if not degrees.any():
         blocks = np.array_split(np.arange(n), k)
         labels = np.empty(n, dtype=int)
         for idx, block in enumerate(blocks):
             labels[block] = idx
         return Labeling(labels, k, degenerate=True)
 
-    degrees = mat.sum(axis=1)
     isolated = np.nonzero(degrees <= 0)[0]
     inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(np.where(degrees > 0, degrees, 1.0)), 0.0)
 

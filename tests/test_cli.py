@@ -483,7 +483,7 @@ ROBUSTNESS = {
     "zero_column": (_column_edit(_zero_column), [], {
         "lsr1": (cli.EXIT_OK, "", lambda r: r["zero_degree"] == [3]),
         "lsr2": (cli.EXIT_OK, "", lambda r: r["zero_degree"] == [3]),
-        "constrained": (cli.EXIT_OK, "", lambda r: r["n_samples"] == 16),
+        "constrained": (cli.EXIT_OK, "", lambda r: r["zero_degree"] == [3]),
     }),
     "duplicated_columns": (_column_edit(_duplicate_column), [], {
         solver: (cli.EXIT_OK, "", lambda r: r["error_rate"] == 0.0) for solver in SOLVER_ARGS

@@ -116,6 +116,21 @@ class TestLsrConstrained:
         with pytest.raises(solvers.InfeasibleColumn):
             solvers.lsr_constrained(np.array([[1.0], [0.0]]))
 
+    def test_zero_column_gets_exact_zeros(self):
+        # e_3 lies in null(X), so row and column 3 of Z are zero in exact
+        # arithmetic; the closed form alone leaves ~5e-16 in them
+        data, _ = datagen.generate(datagen.SubspaceSpec(
+            ambient_dim=10, subspace_dims=(2, 2), samples_per_subspace=(8, 8), seed=2,
+        ))
+        x = data.x.copy()
+        x[:, 3] = 0.0
+        z = solvers.lsr_constrained(x).z
+        assert not z[3].any() and not z[:, 3].any()
+        # the other samples get the solution without the zero one
+        keep = np.arange(16) != 3
+        reduced = solvers.lsr_constrained(x[:, keep]).z
+        assert np.max(np.abs(z[np.ix_(keep, keep)] - reduced)) <= 1e-12
+
     @pytest.mark.parametrize(
         "x, expected",
         [
@@ -234,6 +249,22 @@ class TestLsr1:
         coeffs = solvers.lsr1(rng.standard_normal((4, 9)), 0.3)
         assert np.all(np.diag(coeffs.z) == 0.0)
         assert coeffs.diag_constrained
+
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    def test_thin_rescale_is_bit_identical_to_identity_minus(self, scale):
+        # d < n: one pass over X^T Y equals rescaling I - X^T Y bit for bit,
+        # signed zeros included
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            d, n = rng.integers(2, 8), rng.integers(9, 30)
+            x = scale * rng.standard_normal((d, n))
+            x[:, rng.integers(n)] = 0.0
+            lam = scale**2 * 10.0 ** rng.uniform(-3, 1)
+            m, thin = solvers._ridge_inverse(x, lam)
+            assert thin
+            reference = solvers._zero_diag_rescale(solvers._identity_minus(m, 1.0))
+            z = solvers.lsr1(x, lam).z
+            assert np.array_equal(z.view(np.uint64), reference.view(np.uint64))
 
     @pytest.mark.parametrize("lam, bound", [(1e-8, 1e-14), (1e-4, 1e-14), (1e-1, 1e-15)])
     def test_matches_50_digit_reference_on_near_duplicate_columns(self, lam, bound):

@@ -200,6 +200,113 @@ class TestSqDists:
         assert ours.lloyd_iterations == reference.lloyd_iterations
 
 
+def per_cluster_centers(points, labels, k, own_d2):
+    """The centre update as it was before np.bincount: one boolean mask and
+    mean per cluster, re-seeding empty ones in the same loop."""
+    centers = np.empty((k, points.shape[1]))
+    for j in range(k):
+        members = labels == j
+        if members.any():
+            centers[j] = points[members].mean(axis=0)
+        else:  # re-seed from the point farthest from its center
+            far = int(own_d2.argmax())
+            centers[j] = points[far]
+            own_d2[far] = 0.0
+    return centers
+
+
+def per_cluster_lloyd(points, centers):
+    """_lloyd with per_cluster_centers, and each point's own distance by a
+    second min."""
+
+    def assign(centers):
+        dist2 = spectral._sq_dists(points, centers)
+        return dist2.argmin(axis=1), dist2.min(axis=1)
+
+    labels, own_d2 = assign(centers)
+    objective = float(own_d2.sum())
+    for iteration in range(1, spectral.KMEANS_MAX_ITER + 1):
+        centers = per_cluster_centers(points, labels, centers.shape[0], own_d2)
+        labels, own_d2 = assign(centers)
+        new_objective = float(own_d2.sum())
+        if new_objective == 0.0 or (
+            objective > 0 and (objective - new_objective) / objective <= spectral.KMEANS_REL_TOL
+        ):
+            return spectral._Lloyd(labels, new_objective, iteration, True)
+        objective = new_objective
+    return spectral._Lloyd(labels, objective, spectral.KMEANS_MAX_ITER, False)
+
+
+def sphere_rows(seed, k, n=600):
+    """Row-normalized noisy cluster indicators: a normalized-cuts embedding."""
+    rng = np.random.default_rng(seed)
+    rows = np.eye(k)[rng.integers(k, size=n)] + rng.normal(0.0, 0.3, (n, k))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+KMEANS_CASES = {
+    "clouds_2": (seeded_clouds(0, 2), 2),
+    "clouds_5": (seeded_clouds(2, 5), 5),
+    "clouds_7": (seeded_clouds(3, 7), 7),
+    "ties_3": (np.round(seeded_clouds(4, 3)), 3),
+    "ties_5": (np.round(seeded_clouds(5, 5), 1), 5),
+    "half_duplicated": (half_duplicated(6, 5), 5),
+    "sphere_5": (sphere_rows(7, 5), 5),
+    "sphere_10": (sphere_rows(8, 10), 10),
+    # three distinct points for four centres: every restart re-seeds one
+    "empty_cluster_reseed": (np.repeat(np.eye(3), 10, axis=0), 4),
+    # two distinct points for four centres: two re-seeds per update, in order
+    "two_empty_clusters": (np.repeat(np.eye(2), 10, axis=0), 4),
+}
+
+
+class TestCentreUpdate:
+    """_lloyd's np.bincount centres against the per-cluster loop it replaced."""
+
+    @staticmethod
+    def assert_restarts_equal(points, k, seed=7, restarts=20):
+        for restart in range(restarts):
+            start = spectral._kmeans_pp_init(points, k, np.random.default_rng([seed, restart]))
+            ours = spectral._lloyd(points, start.copy())
+            reference = per_cluster_lloyd(points, start.copy())
+            assert np.array_equal(ours.labels, reference.labels)
+            assert ours.objective == reference.objective
+            assert (ours.iterations, ours.converged) == (reference.iterations, reference.converged)
+
+    @pytest.mark.parametrize("case", list(KMEANS_CASES))
+    def test_bit_equal_to_per_cluster_means(self, case):
+        self.assert_restarts_equal(*KMEANS_CASES[case])
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_bit_equal_at_the_iteration_cap(self, monkeypatch, cap):
+        monkeypatch.setattr(spectral, "KMEANS_MAX_ITER", cap)
+        for case in ("clouds_7", "sphere_10", "two_empty_clusters"):
+            self.assert_restarts_equal(*KMEANS_CASES[case])
+
+    def test_empty_clusters_reseed_in_cluster_order(self):
+        # clusters 1 and 3 are empty: 1 takes the farthest point, 3 the next
+        points = np.random.default_rng(11).standard_normal((12, 3))
+        labels = np.array([0, 2, 4] * 4)
+        own_d2 = np.arange(12.0) % 5
+        ours, reference = own_d2.copy(), own_d2.copy()
+        centers = spectral._centers(points, labels, 5, ours)
+        assert np.array_equal(centers, per_cluster_centers(points, labels, 5, reference))
+        assert np.array_equal(ours, reference)
+        assert np.array_equal(centers[[1, 3]], points[[4, 9]])
+
+    def test_one_coordinate_sums_in_point_order(self):
+        # numpy's mean of one coordinate sums pairwise, so only the last bits
+        # of the centres, and of the objective, may differ
+        points = seeded_clouds(9, 1)
+        for restart in range(20):
+            start = spectral._kmeans_pp_init(points, 3, np.random.default_rng([7, restart]))
+            ours = spectral._lloyd(points, start.copy())
+            reference = per_cluster_lloyd(points, start.copy())
+            assert np.array_equal(ours.labels, reference.labels)
+            assert ours.iterations == reference.iterations
+            assert ours.objective == pytest.approx(reference.objective, rel=1e-12)
+
+
 class TestNormalizedCuts:
     def test_two_components_recovered_for_every_seed(self):
         w, truth = block_affinity([5, 7], seed=2)
@@ -419,36 +526,56 @@ class TestLanczosPath:
             for c in range(7):
                 assert np.unique(labeling.labels[components == c]).size == 1
 
-    @pytest.mark.parametrize("weight, tie, counts", [
-        (1e-8, False, [5, 6]), (1e-10, True, [5]),
-    ], ids=["gap_above_tol", "gap_below_tol"])
-    def test_weak_link_near_tie(self, monkeypatch, weight, tie, counts):
-        # Above the tolerance the top-5 Lanczos misses an eigenvalue 1, the
-        # bound exposes it (theta > mu_5 + EIGEN_TIE_TOL), and the top 6 are
-        # computed instead; below it the bound proves the tie.
+    @pytest.mark.parametrize("weight, tie", [(1e-8, False), (1e-10, True)],
+                             ids=["gap_above_tol", "gap_below_tol"])
+    def test_weak_link_near_tie(self, monkeypatch, weight, tie):
+        # The top-5 Lanczos from the seeded start finds all five eigenvalues
+        # 1, so no recompute is needed (from ones(n) it missed one above the
+        # tolerance); below the tolerance the bound proves the tie.
         w = weak_link_affinity(weight)
-        dense, lanczos, _ = self.assert_paths_agree(monkeypatch, w, 5, counts)
+        dense, lanczos, _ = self.assert_paths_agree(monkeypatch, w, 5, [5])
         assert dense.eigen_tie is tie
+        assert metrics.segmentation_error(lanczos, dense.labels) == 0.0
+
+    @pytest.mark.parametrize("w", [
+        weak_link_affinity(1e-8), block_affinity([40, 50, 30, 45, 35], seed=1)[0],
+    ], ids=["weak_link", "block_diagonal"])
+    def test_missed_eigenvalue_is_recomputed(self, monkeypatch, w):
+        # An ARPACK run that misses the top eigenvalue of the top 5: the bound
+        # exposes it (theta > mu_5 + EIGEN_TIE_TOL), and the top 6 are
+        # computed instead.
+        sym_eigen = linalg.sym_eigen
+
+        def drop_top(a, count=None):
+            if count != 5:
+                return sym_eigen(a, count=count)
+            six = sym_eigen(a, count=6)
+            return linalg.SymEigen(six.values[:5], six.vectors[:, :5])
+
+        monkeypatch.setattr(linalg, "sym_eigen", drop_top)
+        dense, lanczos, _ = self.assert_paths_agree(monkeypatch, w, 5, [5, 6])
+        assert not dense.eigen_tie
         assert metrics.segmentation_error(lanczos, dense.labels) == 0.0
 
     @pytest.mark.parametrize("w, k", [
         (np.kron(np.eye(5), np.ones((40, 40))), 5), (ring_affinity(200, 3), 1),
     ], ids=["equal_cliques", "regular_k1"])
-    def test_fallback_start(self, monkeypatch, w, k):
-        # ones(n) lies in the span of the top k eigenvectors of D^{-1/2} W D^{-1/2}
+    def test_seeded_start(self, monkeypatch, w, k):
+        # ones(n) lies in the span of the top k eigenvectors of D^{-1/2} W D^{-1/2};
+        # ARPACK and the bound steps both start from linalg.lanczos_start
         starts = []
-        fallback = spectral._fallback_start
+        seeded = linalg.lanczos_start
 
         def spy(n):
             starts.append(n)
-            return fallback(n)
+            return seeded(n)
 
-        monkeypatch.setattr(spectral, "_fallback_start", spy)
+        monkeypatch.setattr(linalg, "lanczos_start", spy)
         self.assert_paths_agree(monkeypatch, w, k)
-        assert starts == [w.shape[0]]
+        assert starts == [w.shape[0]] * 2
         monkeypatch.setattr(spectral, "DENSE_EIGEN_MAX_N", 0)
         first, second = (spectral.normalized_cuts(w, k, seed=0) for _ in range(2))
-        assert starts == [w.shape[0]] * 3
+        assert starts == [w.shape[0]] * 6
         assert np.array_equal(first.labels, second.labels)
         assert (first.eigen_tie, first.zero_degree) == (second.eigen_tie, second.zero_degree)
 
@@ -479,11 +606,12 @@ class TestPeakMemory:
     (1.13 here). The affinity is one |Z| copy symmetrized in place, tile by
     tile (1.13 with the tile temporaries). Normalized cuts forms no n x n
     buffer: the Lanczos basis and work vectors of length n are all it adds
-    to its input affinity (0.16 here). The block-diagonality score copies
-    one cluster's rows of Z at a time (0.21 with five equal clusters).
+    to its input affinity (0.11 here). The block-diagonality score holds
+    |Z| of one block of metrics.VIOLATION_BLOCK_ROWS rows at a time (0.14).
 
     A whole ``segment`` run at n = 1000 builds W over the solver's Z, so after
-    the solve it holds W plus one cluster's rows of it (1.24; was 3.16).
+    the solve it holds W and little more (1.16; was 3.16): the score reads
+    W's rows in place.
     """
 
     N = 500
