@@ -6,23 +6,27 @@ cell, for both closed-form solvers.
 """
 
 import argparse
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from lsrseg import datagen, metrics, solvers, spectral
+from lsrseg import cli, datagen, ingest
 
 
-def run_cell(sigma, lam, solver, seeds, spec_kwargs):
+def run_cell(sigma, lam, solver, seeds, spec_kwargs, workdir):
+    """Mean error of `lsrseg segment` over seeds, each dataset written to a
+    CSV in `workdir` and segmented with `solver` at weight `lam`."""
+    path = Path(workdir) / "data.csv"
     errors = []
     for seed in seeds:
         spec = datagen.SubspaceSpec(
             noise_sigma=sigma, seed=seed, normalize_columns=sigma > 0, **spec_kwargs
         )
         data, _ = datagen.generate(spec)
-        coeffs = solver(data, lam)
-        affinity = spectral.build_affinity(coeffs)
-        labeling = spectral.normalized_cuts(affinity, spec.n_subspaces, seed=0)
-        errors.append(metrics.segmentation_error(labeling, data.labels))
+        ingest.write_csv(data, path)
+        cfg = cli.RunConfig("segment", input=str(path), solver=solver, lam=lam)
+        errors.append(cli.run_segmentation(cfg).error_rate)
     return float(np.mean(errors))
 
 
@@ -47,16 +51,17 @@ def main():
         mode=datagen.INDEPENDENT,
     )
 
-    for name, solver in (("lsr1", solvers.lsr1), ("lsr2", solvers.lsr2)):
-        print(f"\n{name}: mean segmentation error over {args.seeds} seeds")
-        header = "sigma\\lam " + " ".join(f"{lam:>9.1e}" for lam in lambdas)
-        print(header)
-        for sigma in sigmas:
-            row = [f"{sigma:<9.3f}"]
-            for lam in lambdas:
-                err = run_cell(sigma, lam, solver, seeds, spec_kwargs)
-                row.append(f"{err:>9.4f}")
-            print(" ".join(row))
+    with tempfile.TemporaryDirectory() as workdir:
+        for solver in ("lsr1", "lsr2"):
+            print(f"\n{solver}: mean segmentation error over {args.seeds} seeds")
+            header = "sigma\\lam " + " ".join(f"{lam:>9.1e}" for lam in lambdas)
+            print(header)
+            for sigma in sigmas:
+                row = [f"{sigma:<9.3f}"]
+                for lam in lambdas:
+                    err = run_cell(sigma, lam, solver, seeds, spec_kwargs, workdir)
+                    row.append(f"{err:>9.4f}")
+                print(" ".join(row))
 
 
 if __name__ == "__main__":

@@ -419,6 +419,7 @@ _NUMERIC_ERRORS = (
     ingest.DimensionError,
     metrics.LengthMismatch,
     metrics.UnnormalizedColumn,
+    np.linalg.LinAlgError,  # a ValueError, but a LAPACK failure, e.g. an unconverged SVD
 )
 
 

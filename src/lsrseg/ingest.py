@@ -11,9 +11,9 @@ and names the line and column of any error.
 ``pca_project`` takes the top left singular vectors from ``eigh`` of the
 smaller Gram matrix, or from a thin SVD when the kept spectrum is too
 ill-conditioned for the Gram route. The Gram route's products
-(``linalg.matmul``) and ``eigh`` run on scipy's BLAS and LAPACK, as the
-rest of an ``lsr1``/``lsr2`` ``segment`` run does (see ``linalg``); the rare
-SVD fallback runs on numpy's.
+(``linalg.matmul``) and ``eigh`` (``linalg.sym_eigen``) run on scipy's BLAS
+and LAPACK, as the rest of an ``lsr1``/``lsr2`` ``segment`` run does (see
+``linalg``); the rare SVD fallback runs on numpy's.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .datagen import DataMatrix
@@ -210,7 +209,7 @@ def pca_project(data, target_dim: int) -> DataMatrix:
     _, exponent = np.frexp(np.max(np.abs(mat)))
     scaled = np.ldexp(mat, -exponent)
     gram = linalg.matmul(scaled.T, scaled) if d > n else linalg.matmul(scaled, scaled.T)
-    values, vectors = scipy.linalg.eigh(gram, driver="evd", check_finite=False)
+    values, vectors = linalg.sym_eigen(gram)
     top = values[::-1][:target_dim]
     if top[-1] >= GRAM_MIN_RATIO * top[0]:
         basis = vectors[:, ::-1][:, :target_dim]

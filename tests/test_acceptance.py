@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lsrseg import cli, datagen, ingest, metrics, solvers, spectral
+from lsrseg import cli, metrics, solvers
 from lsrseg.metrics import (
     BLOCK_DIAG_ORTH_TOL,
     BLOCK_DIAG_TOL,
@@ -114,27 +114,25 @@ def test_criterion_5_grouping_bound():
     )
 
 
-def _segment_synthetic(seed: int, noise: float) -> float:
-    spec = datagen.SubspaceSpec(
-        ambient_dim=10,
-        subspace_dims=(2, 2, 2),
-        samples_per_subspace=(20, 20, 20),
-        noise_sigma=noise,
-        seed=seed,
-        normalize_columns=noise > 0,
-    )
-    data, _ = datagen.generate(spec)
-    affinity = spectral.build_affinity(solvers.lsr1(data, 1e-3))
-    labeling = spectral.normalized_cuts(affinity, 3, seed=0)
-    return metrics.segmentation_error(labeling, data.labels)
+def _segment_synthetic(workdir: Path, seed: int, noise: float) -> float:
+    """Write three 2-D subspaces in 10-D, 20 points each, with `lsrseg
+    synth` (unit columns when noisy), run `lsrseg segment --solver lsr1
+    --lambda 1e-3` on them and return the report's error rate."""
+    data, report = workdir / f"union-{seed}-{noise}.csv", workdir / "report.json"
+    argv = ["synth", "--output", str(data), "--ambient-dim", "10", "--dims", "2,2,2",
+            "--samples", "20,20,20", "--noise-sigma", str(noise), "--seed", str(seed)]
+    assert cli.main(argv + (["--normalize-columns"] if noise > 0 else [])) == cli.EXIT_OK
+    assert cli.main(["segment", "--input", str(data), "--output", str(report),
+                     "--solver", "lsr1", "--lambda", "1e-3"]) == cli.EXIT_OK
+    return json.loads(report.read_text())["report"]["error_rate"]
 
 
-def test_criterion_6_end_to_end_recovery():
+def test_criterion_6_end_to_end_recovery(tmp_path):
     """Three 2-D subspaces in 10-D, 20 points each: zero error on ten
     consecutive noise-free seeds; mean error at most 5 percent with
     sigma = 0.05 noise after normalization."""
-    clean = [_segment_synthetic(seed, 0.0) for seed in range(10)]
-    noisy = [_segment_synthetic(seed, 0.05) for seed in range(10)]
+    clean = [_segment_synthetic(tmp_path, seed, 0.0) for seed in range(10)]
+    noisy = [_segment_synthetic(tmp_path, seed, 0.05) for seed in range(10)]
     mean_noisy = float(np.mean(noisy))
     verdict(
         "criterion-6 end-to-end recovery",
@@ -182,32 +180,56 @@ def test_criterion_8_efficiency_ordering():
     )
 
 
+def _motion_preset_verdict(name: str, directory: Path, workdir: Path) -> None:
+    """Criterion 8b on one directory of labeled CSV exports: `lsrseg segment
+    --preset hopkins-lsr1` on each file must reach mean segmentation error
+    at most 3.5 percent."""
+    paths = sorted(directory.glob("*.csv"))
+    assert paths, f"no CSV files found in {directory}"
+    errors = []
+    for path in paths:
+        report = workdir / f"{path.stem}.json"
+        code = cli.main(["segment", "--input", str(path), "--preset", "hopkins-lsr1",
+                         "--output", str(report)])
+        assert code == cli.EXIT_OK, f"segment exited {code} on {path}"
+        error = json.loads(report.read_text())["report"]["error_rate"]
+        assert error is not None, f"{path} carries no ground-truth labels"
+        errors.append(error)
+    mean_error = float(np.mean(errors))
+    verdict(name, mean_error <= 0.035,
+            f"mean error {mean_error:.4f} over {len(errors)} sequences")
+
+
 @pytest.mark.skipif(
     not HOPKINS_DIR,
     reason="external motion-trajectory data not supplied "
     "(set LSRSEG_HOPKINS_DIR to a directory of labeled CSV exports)",
 )
-def test_criterion_8b_motion_benchmark_preset():
+def test_criterion_8b_motion_benchmark_preset(tmp_path):
     """With user-supplied motion-trajectory CSV exports, the hopkins-lsr1
     preset must reach mean segmentation error at most 3.5 percent."""
-    paths = sorted(Path(HOPKINS_DIR).glob("*.csv"))
-    assert paths, f"no CSV files found in {HOPKINS_DIR}"
-    errors = []
-    preset = cli.PRESETS["hopkins-lsr1"]
-    for path in paths:
-        data = ingest.load_csv(path)
-        assert data.labels is not None, f"{path} carries no ground-truth labels"
-        k = int(np.unique(data.labels).size)
-        projected = ingest.pca_project(data, min(preset["pca_dim"], min(data.x.shape)))
-        affinity = spectral.build_affinity(solvers.lsr1(projected, preset["lam"]))
-        labeling = spectral.normalized_cuts(affinity, k, seed=0)
-        errors.append(metrics.segmentation_error(labeling, data.labels))
-    mean_error = float(np.mean(errors))
-    verdict(
-        "criterion-8b motion benchmark preset",
-        mean_error <= 0.035,
-        f"mean error {mean_error:.4f} over {len(errors)} sequences",
-    )
+    _motion_preset_verdict("criterion-8b motion benchmark preset", Path(HOPKINS_DIR), tmp_path)
+
+
+# Motion-like exports: (frames F, samples per motion); 2F trajectory
+# coordinates, 4-dim motion subspaces, noise 0.01, as in perfbench's
+# paper-batch workload.
+SYNTHETIC_MOTIONS = [(24, (60, 45)), (31, (40, 90, 55)), (37, (120, 70)), (20, (50, 50, 40))]
+
+
+def test_criterion_8b_preset_on_synthetic_motion_exports(tmp_path):
+    """Criterion 8b's path on synthetic motion-like exports written by
+    `lsrseg synth`: the same per-file `segment --preset hopkins-lsr1` runs,
+    held to the same 3.5 percent bound."""
+    exports = tmp_path / "exports"
+    exports.mkdir()
+    for seed, (frames, samples) in enumerate(SYNTHETIC_MOTIONS):
+        argv = ["synth", "--output", str(exports / f"motion-{seed}.csv"),
+                "--ambient-dim", str(2 * frames), "--dims", ",".join("4" for _ in samples),
+                "--samples", ",".join(map(str, samples)), "--noise-sigma", "0.01",
+                "--seed", str(seed)]
+        assert cli.main(argv) == cli.EXIT_OK
+    _motion_preset_verdict("criterion-8b motion preset on synthetic exports", exports, tmp_path)
 
 
 def test_criterion_9_segment_determinism(tmp_path):

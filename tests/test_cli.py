@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from lsrseg import cli, datagen, ingest, linalg, metrics, solvers, spectral
+from test_solvers import LEVERAGE_ONE_X, near_duplicate_columns, relative_gap, ridge_reference
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -381,6 +383,25 @@ class TestExitCodes:
                    "--lambda", 0.01) == cli.EXIT_NUMERIC
         assert "Lanczos eigensolve: ARPACK error -1: No convergence" in capsys.readouterr().err
 
+    def test_svd_no_convergence_is_numeric_error(self, dataset, monkeypatch, capsys):
+        # np.linalg.LinAlgError is a ValueError, yet a LAPACK failure, not a
+        # configuration error
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        assert run("segment", "--input", dataset, "--solver", "constrained") == cli.EXIT_NUMERIC
+        assert "numeric error: SVD did not converge" in capsys.readouterr().err
+
+    def test_pca_eigh_failure_is_numeric_error(self, dataset, monkeypatch, capsys):
+        def no_convergence(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("the algorithm failed to converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", no_convergence)
+        assert run("segment", "--input", dataset, "--solver", "lsr1", "--lambda", 0.1,
+                   "--pca-dim", 6) == cli.EXIT_NUMERIC
+        assert "numeric error: the algorithm failed to converge" in capsys.readouterr().err
+
     def test_unknown_preset_is_config_error(self, dataset):
         with pytest.raises(SystemExit) as exc:
             run("segment", "--input", dataset, "--solver", "lsr1", "--lambda", 0.1,
@@ -532,6 +553,30 @@ class TestRobustnessMatrix:
             assert diagnostic in err and not out.exists()
 
 
+class TestTinyLambda:
+    """`solve` at tiny lambda against the 50-digit reference: either exit 0
+    with a Z within 1e-8 relative of it, or exit 3 with the LambdaTooSmall
+    diagnostic and no Z. Which of the two each case gives is pinned."""
+
+    @pytest.mark.parametrize("x, lam, code", [
+        (LEVERAGE_ONE_X, 1e-17, cli.EXIT_NUMERIC),
+        (LEVERAGE_ONE_X, 1e-4, cli.EXIT_OK),
+        (near_duplicate_columns(), 1e-8, cli.EXIT_OK),
+    ], ids=["leverage_one_1e-17", "leverage_one_1e-4", "near_duplicates_1e-8"])
+    @pytest.mark.parametrize("solver", ["lsr1", "lsr2"])
+    def test_solve(self, solver, x, lam, code, tmp_path, capsys):
+        path, out = tmp_path / "data.csv", tmp_path / "z.csv"
+        ingest.write_csv(x, path)
+        assert run("solve", "--input", path, "--output", out, "--solver", solver,
+                   "--lambda", lam) == code
+        if code == cli.EXIT_OK:
+            reference = dict(zip(("lsr1", "lsr2"), ridge_reference(x, lam)))[solver]
+            assert relative_gap(ingest.load_csv(out).x, reference) <= 1e-8
+        else:
+            assert "lambda is too small" in capsys.readouterr().err
+            assert not out.exists()
+
+
 class TestCheck:
     def test_default_suites_pass(self, tmp_path, capsys):
         out = tmp_path / "check.json"
@@ -588,7 +633,7 @@ class TestCheck:
         assert np.max(np.abs(solvers.lsr1(x, lam).z - oracle)) <= 1e-8
 
 
-class TestEnvOverrides:
+class TestPresets:
     """Presets, the layer under flags and --config."""
 
     def test_preset_sets_solver_lambda_pca(self):
@@ -705,14 +750,14 @@ class TestOptionLayer:
             table[row[1]] = set(re.findall(r"--[a-z][a-z-]*", row[2]))
         assert table == parser_flags()
 
-    def test_every_option_has_an_env_sample(self):
+    def test_every_option_has_a_sample(self):
         # every option has a sample in OPTION_SAMPLES
         names = [f.name for f in dataclasses.fields(cli.RunConfig) if f.name != "command"]
         assert sorted(OPTION_SAMPLES) == sorted(names)
         assert len(names) + 1 == 18
 
     @pytest.mark.parametrize("name", sorted(OPTION_SAMPLES))
-    def test_env_reaches_config_with_field_type(self, name, monkeypatch, tmp_path):
+    def test_flag_and_config_reach_field_with_its_type(self, name, monkeypatch, tmp_path):
         # The flag and the config value each reach the field with its type,
         # under every subcommand that takes the option; the environment
         # reaches no field.
@@ -779,7 +824,7 @@ class TestOptionLayer:
         assert run(*args, "--config", path) == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize("text", ["ture", "", "2"])
-    def test_bad_bool_env_is_config_error(self, text, tmp_path):
+    def test_bad_config_bool_is_config_error(self, text, tmp_path):
         # a config boolean that does not parse; without it the run exits 1
         path = write_config(tmp_path, {"normalize_columns": text})
         assert run("segment", "--input", tmp_path / "absent.csv",
