@@ -7,12 +7,15 @@ One BLAS per run. numpy and scipy link separate OpenBLAS libraries, each
 with its own thread pool, and the idle threads of one pool spin against the
 other's on a small machine. ARPACK and ``solve_spd``'s Cholesky (scipy's
 LAPACK ``potrf`` and ``potrs``, called with no wrapper in between) can only
-run on scipy's, so every threaded BLAS or LAPACK call of an ``lsr1``/``lsr2``
-``segment`` run goes there too:
+run on scipy's, so every threaded BLAS or LAPACK call of a ``segment`` run,
+whatever its solver, goes there too:
 
 * matrix products through ``matmul`` (scipy's ``dgemm``): the ridge
-  solvers' Gram matrices and X^T Y, and ``ingest.pca_project``'s Gram
+  solvers' Gram matrices and X^T Y, ``solvers.lsr_constrained``'s
+  projector and feasibility products, and ``ingest.pca_project``'s Gram
   matrix and projection;
+* ``lsr_constrained``'s SVDs by ``scipy.linalg.svd`` with the ``gesdd``
+  driver, the LAPACK routine numpy's ``svd`` calls;
 * dense symmetric eigensolves through ``sym_eigen`` (scipy's ``eigh`` with
   the ``evd`` driver, the same LAPACK ``syevd`` numpy's ``eigh`` calls);
 * the products of a ``sym_eigen`` Lanczos operator through
@@ -24,9 +27,10 @@ run on scipy's, so every threaded BLAS or LAPACK call of an ``lsr1``/``lsr2``
 The numpy calls left in such a run are element-wise, or level-1 products
 and norms of single vectors and of the d x d system, which numpy's OpenBLAS
 runs on the calling thread up to 10 000 entries. numpy's BLAS still serves
-code outside that run: ``solvers.lsr_constrained``'s full SVD and products,
-``pca_project``'s rare thin-SVD fallback, the check suites' products on
-small matrices, and ``datagen``, which runs only at set-up.
+``lsr_constrained``'s ``pseudo_inverse`` refits of the columns its closed
+form does not fit (none on data it fits), ``pca_project``'s rare thin-SVD
+fallback, the check suites' products and SVDs of small matrices, and
+``datagen``, which runs only at set-up.
 """
 
 from __future__ import annotations
@@ -127,12 +131,20 @@ def solve_spd(a, b) -> np.ndarray:
         )
     if not np.isfinite(b_arr).all():
         raise NonFiniteMatrix("rhs contains non-finite entries")
+    return cholesky_solve(a, b_arr)
+
+
+def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``solve_spd`` without its input checks, for a finite float64 square `a`
+    and a conforming finite rhs `b` that the caller built itself: LAPACK's
+    ``potrf`` and ``potrs`` on the lower triangle of `a`, which is left
+    unchanged."""
     factor, info = dpotrf(a, lower=1, clean=0)
     if info > 0:
         raise NotPositiveDefinite(f"{info}-th leading minor is not positive definite")
     if info < 0:
         raise ValueError(f"LAPACK potrf rejected argument {-info}")
-    s, info = dpotrs(factor, b_arr, lower=1)
+    s, info = dpotrs(factor, b, lower=1)
     if info < 0:
         raise ValueError(f"LAPACK potrs rejected argument {-info}")
     return s

@@ -193,21 +193,31 @@ def frobenius_norm_sq(z: np.ndarray) -> float | np.ndarray:
     return _per_matrix((z * z).sum(axis=(-2, -1)))
 
 
-def nuclear_norm(z: np.ndarray) -> float | np.ndarray:
-    return _per_matrix(linalg.singular_values(z).sum(axis=-1))
+# The spectral criteria take the stack's singular values `s` when the caller
+# has them (``linalg.singular_values(z)``), and compute them otherwise.
+
+def nuclear_norm(z: np.ndarray, s: np.ndarray | None = None) -> float | np.ndarray:
+    if s is None:
+        s = linalg.singular_values(z)
+    return _per_matrix(s.sum(axis=-1))
 
 
 def gram_l1(z: np.ndarray) -> float | np.ndarray:
     return _per_matrix(np.abs(np.swapaxes(z, -1, -2) @ z).sum(axis=(-2, -1)))
 
 
-def rank_criterion(z: np.ndarray) -> float | np.ndarray:
-    return _per_matrix(np.asarray(linalg.numeric_rank(linalg.singular_values(z)), dtype=float))
+def rank_criterion(z: np.ndarray, s: np.ndarray | None = None) -> float | np.ndarray:
+    if s is None:
+        s = linalg.singular_values(z)
+    return _per_matrix(np.asarray(linalg.numeric_rank(s), dtype=float))
 
 
-def msr_criterion(z: np.ndarray) -> float | np.ndarray:
+def msr_criterion(z: np.ndarray, s: np.ndarray | None = None) -> float | np.ndarray:
     """l1 plus the nuclear norm."""
-    return l1_norm(z) + nuclear_norm(z)
+    return l1_norm(z) + nuclear_norm(z, s)
+
+
+_SPECTRAL_CRITERIA = frozenset({nuclear_norm, rank_criterion, msr_criterion})
 
 
 def power_criterion(p: float, s: float = 1.0):
@@ -280,27 +290,52 @@ def _block_diagonal(z: np.ndarray, n1: int) -> np.ndarray:
     return zd
 
 
-def _ebd_counterexamples(f, trials: _EbdTrials, nonnegative: bool) -> dict[str, dict]:
-    values = {key: np.empty(len(trials.shapes)) for key in ("z", "zd", "zp", "a", "d")}
-    for (n1, _), (index, z, perms) in trials.groups.items():
-        if nonnegative:
-            z = np.abs(z)
-        stacks = {
-            "z": z,
-            "zd": _block_diagonal(z, n1),
-            "zp": np.take_along_axis(z, perms[:, np.newaxis, :], axis=2),
-            "a": np.ascontiguousarray(z[:, :n1, :n1]),
-            "d": np.ascontiguousarray(z[:, n1:, n1:]),
-        }
-        for key, stack in stacks.items():
-            out = np.asarray(f(stack), dtype=np.float64)
-            if out.shape != index.shape:
-                raise ValueError(
-                    f"criterion gave shape {out.shape} for {index.size} matrices; "
-                    "it must give one value per matrix of an (..., m, n) stack"
-                )
-            values[key][index] = out
+def _ebd_stacks(z: np.ndarray, perms: np.ndarray, n1: int) -> dict[str, np.ndarray]:
+    """One shape group's stacks of Z, Z_D, ZP, A and D."""
+    return {
+        "z": z,
+        "zd": _block_diagonal(z, n1),
+        "zp": np.take_along_axis(z, perms[:, np.newaxis, :], axis=2),
+        "a": np.ascontiguousarray(z[:, :n1, :n1]),
+        "d": np.ascontiguousarray(z[:, n1:, n1:]),
+    }
 
+
+def _ebd_values(criteria: dict, trials: _EbdTrials) -> dict[str, dict[str, np.ndarray]]:
+    """name -> stack key -> each trial's value, for criteria mapping a name to
+    (f, nonnegative). One shape group's stacks are held at a time, and each
+    stack's singular values are computed once, for every _SPECTRAL_CRITERIA
+    member among the criteria."""
+    values = {name: {key: np.empty(len(trials.shapes)) for key in ("z", "zd", "zp", "a", "d")}
+              for name in criteria}
+    for (n1, _), (index, z, perms) in trials.groups.items():
+        for nonnegative in (False, True):
+            names = [name for name, (_, nonneg) in criteria.items() if nonneg == nonnegative]
+            if not names:
+                continue
+            for key, stack in _ebd_stacks(np.abs(z) if nonnegative else z, perms, n1).items():
+                spectrum = None
+                for name in names:
+                    f = criteria[name][0]
+                    if f in _SPECTRAL_CRITERIA:
+                        if spectrum is None:
+                            spectrum = linalg.singular_values(stack)
+                        out = f(stack, spectrum)
+                    else:
+                        out = f(stack)
+                    out = np.asarray(out, dtype=np.float64)
+                    if out.shape != index.shape:
+                        raise ValueError(
+                            f"criterion gave shape {out.shape} for {index.size} matrices; "
+                            "it must give one value per matrix of an (..., m, n) stack"
+                        )
+                    values[name][key][index] = out
+    return values
+
+
+def _ebd_counterexamples(values: dict[str, np.ndarray], trials: _EbdTrials,
+                         nonnegative: bool) -> dict[str, dict]:
+    """The first counterexample per failed condition, from one criterion's values."""
     fz, fzd, fzp, fa, fd = (values[key] for key in ("z", "zd", "zp", "a", "d"))
     scale = 1.0 + np.abs(fz)
     # condition -> (which trials fail it, the values its witness carries)
@@ -356,7 +391,9 @@ def check_ebd(
     drawing it once permutation had failed, which changed the later trials
     of such an f; no EBD_TABLE or power criterion fails permutation.)
     """
-    return _ebd_counterexamples(f, _draw_ebd_trials(trials, seed), nonnegative)
+    draws = _draw_ebd_trials(trials, seed)
+    values = _ebd_values({"f": (f, nonnegative)}, draws)["f"]
+    return _ebd_counterexamples(values, draws, nonnegative)
 
 
 def check_unit_columns(mat: np.ndarray) -> np.ndarray:
@@ -443,9 +480,11 @@ def ebd_conditions_suite(trials: int, seed: int) -> dict:
     dominance failure comes with its witness; the suite's witness is the
     first row that is not ok."""
     draws = _draw_ebd_trials(trials, seed)
+    values = _ebd_values({name: (f, nonneg) for name, (f, nonneg, _) in EBD_TABLE.items()},
+                         draws)
     results = []
-    for name, (f, nonneg, expected) in EBD_TABLE.items():
-        found = _ebd_counterexamples(f, draws, nonneg)
+    for name, (_, nonneg, expected) in EBD_TABLE.items():
+        found = _ebd_counterexamples(values.pop(name), draws, nonneg)
         results.append({"criterion": name, "expected": expected, "counterexamples": found,
                         "ok": sorted(found) == sorted(expected)})
     witness = next((row for row in results if not row["ok"]), None)

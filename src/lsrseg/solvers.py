@@ -4,7 +4,8 @@ Each solver returns an n x n coefficient matrix Z expressing every data
 column as a combination of the others:
 
 * ``lsr_constrained``  min ||Z||_F  s.t.  X = XZ, diag(Z) = 0,
-  closed form Z = -Q / diag(Q) with Q the projector onto null(X).
+  closed form Z = -Q / diag(Q) with Q the projector onto null(X), formed
+  as I - V_r V_r^T from a thin SVD unless a leverage nears 1.
 * ``lsr1``             min ||X - XZ||_F^2 + lam*||Z||_F^2  s.t. diag(Z) = 0,
   closed form Z = -P / diag(P) with P = (X^T X + lam*I)^{-1}.
 * ``lsr2``             the unconstrained ridge form,
@@ -17,9 +18,14 @@ Y = (X X^T + lam*I_d)^{-1} X, the Woodbury identity gives lam*P = I - X^T Y,
 so ``lsr2`` is X^T Y and ``lsr1`` rescales I - X^T Y (the 1/lam cancels).
 
 The ridge forms take their products (the Gram matrix and X^T Y) with
-``linalg.matmul`` and their Cholesky solves with ``linalg.solve_spd``, so
-an ``lsr1``/``lsr2`` run stays on scipy's BLAS (see ``linalg``);
-``lsr_constrained``'s SVD and products still run on numpy's.
+``linalg.matmul`` and their Cholesky solves with ``linalg.solve_spd``;
+``lsr_constrained`` takes its SVDs with ``scipy.linalg.svd`` and its
+products with ``linalg.matmul``; ``column_oracle_ridge`` factors with
+``linalg.cholesky_solve``. Every solver's ``segment`` run thus stays on
+scipy's BLAS (see ``linalg``). numpy's serves only the
+``linalg.pseudo_inverse`` refits of columns the constrained closed form
+does not fit, ``ingest.pca_project``'s SVD fallback, the check suites and
+``datagen``.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg.blas import dnrm2
 
 from . import linalg
@@ -37,6 +44,10 @@ LSR1 = "lsr1"
 LSR2 = "lsr2"
 
 FEASIBILITY_TOL = 1e-8
+# lsr_constrained forms its null-space projector as I - V_r V_r^T only when
+# every diagonal entry of it exceeds this, so that the cancellation in
+# 1 - ||V_r^T e_i||^2 costs at most one bit of Q[i, i].
+THIN_PROJECTOR_MIN_DIAG = 0.5
 # A d < n ridge solve is returned only if every divisor 1 - x_i^T y_i of
 # lsr1 exceeds this many times its estimated rounding error.
 ROUNDING_MARGIN = 1e6
@@ -131,14 +142,46 @@ def _zero_diag_rescale(p: np.ndarray) -> np.ndarray:
     return p
 
 
+def _identity_minus(m: np.ndarray, scale: float) -> np.ndarray:
+    """I - scale*M, in place of M."""
+    m *= -scale
+    m.flat[:: m.shape[0] + 1] += 1.0
+    return m
+
+
+def _svd(mat: np.ndarray, full_matrices: bool):
+    """scipy's LAPACK gesdd (numpy's SVD routine) on the validated `mat`."""
+    return scipy.linalg.svd(mat, full_matrices=full_matrices, check_finite=False,
+                            lapack_driver="gesdd")
+
+
+def _null_projector(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q, the projector onto null(X), and the singular values of X.
+
+    From a thin SVD, Q = I - V_r V_r^T, whose diagonal Q[i, i] =
+    1 - ||V_r^T e_i||^2 cancels as column i's leverage nears 1. That form is
+    kept only when every Q[i, i] exceeds THIN_PROJECTOR_MIN_DIAG; otherwise
+    Q = N N^T from the trailing right singular vectors N of a full SVD.
+    The rank cut is ``linalg.numeric_rank``.
+    """
+    _, s, vt = _svd(mat, full_matrices=False)
+    row_space = vt[: linalg.numeric_rank(s)]
+    if 1.0 - np.einsum("ij,ij->j", row_space, row_space).max() > THIN_PROJECTOR_MIN_DIAG:
+        return _identity_minus(linalg.matmul(row_space.T, row_space), 1.0), s
+    del vt, row_space
+    _, s, vt = _svd(mat, full_matrices=True)
+    null_basis = vt[linalg.numeric_rank(s):]
+    return linalg.matmul(null_basis.T, null_basis), s
+
+
 def lsr_constrained(x) -> Coefficients:
     """Minimum-Frobenius-norm solution of X = XZ with diag(Z) = 0, in closed form.
 
-    Z = -Q diag(Q)^{-1} with a zeroed diagonal, where Q = N N^T projects
-    onto null(X) and N holds the trailing right singular vectors of one SVD,
-    past the singular values above ``linalg.SV_CUTOFF`` times the largest
-    (``linalg.numeric_rank``). N N^T is used rather than I - V_r V_r^T,
-    whose cancellation loses accuracy on near-singular data.
+    Z = -Q diag(Q)^{-1} with a zeroed diagonal, where Q projects onto
+    null(X) past the singular values above ``linalg.SV_CUTOFF`` times the
+    largest (``_null_projector``): I - V_r V_r^T from a thin SVD when no
+    column's leverage comes within THIN_PROJECTOR_MIN_DIAG of 1, else N N^T
+    from a full one, which keeps its accuracy on near-singular data.
 
     A nonzero column the closed form does not fit to a relative residual of
     FEASIBILITY_TOL (one only approximately in the span of the others) is
@@ -155,14 +198,12 @@ def lsr_constrained(x) -> Coefficients:
     """
     mat = data_array(x)
     n = mat.shape[1]
-    _, s, vt = np.linalg.svd(mat, full_matrices=True)
-    null_basis = vt[linalg.numeric_rank(s):]
-    z = _zero_diag_rescale(null_basis.T @ null_basis)
-    del vt, null_basis  # release the n x n singular vectors before the gate
+    q, s = _null_projector(mat)
+    z = _zero_diag_rescale(q)
     mat = np.ldexp(mat, -np.frexp(s[0])[1])
     norms = np.linalg.norm(mat, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        residuals = np.linalg.norm(mat @ z - mat, axis=0) / norms
+        residuals = np.linalg.norm(linalg.matmul(mat, z) - mat, axis=0) / norms
     for i in np.nonzero((norms > 0) & ~(residuals <= FEASIBILITY_TOL))[0]:
         xi = mat[:, i]
         keep = np.arange(n) != i
@@ -233,13 +274,6 @@ def _ridge_inverse(x, lam: float) -> tuple[np.ndarray, bool]:
     return p, False
 
 
-def _identity_minus(m: np.ndarray, scale: float) -> np.ndarray:
-    """I - scale*M, in place of M."""
-    m *= -scale
-    m.flat[:: m.shape[0] + 1] += 1.0
-    return m
-
-
 def lsr1(x, lam: float) -> Coefficients:
     """Closed-form diag-constrained ridge representation.
 
@@ -277,22 +311,31 @@ def column_oracle_ridge(x, lam: float, zero_diag: bool = True) -> Coefficients:
     The columns share only lam added to the Gram diagonal, X^T X + lam*I
     formed once; each column still factors and solves its own block of it
     (without its own row and column when zero_diag) by its own
-    ``linalg.solve_spd`` call.
+    ``linalg.cholesky_solve``, LAPACK's ``potrf`` and ``potrs``. The block
+    is kept in one Fortran-ordered array: column i's dictionary differs
+    from column i-1's only in its place i-1, which holds i - 1 where the
+    previous one held i, so only that row and column of the block are
+    rewritten between the two solves.
     """
     lam = _check_lambda(lam)
     gram = _gram(data_array(x), "X^T X")
     n = gram.shape[0]
     system = gram + lam * np.eye(n)
     z = np.zeros((n, n))
-    # row i of `others`: every column index but i, column i's dictionary
-    others = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
-    for i in range(n):
-        if not zero_diag:
-            z[:, i] = linalg.solve_spd(system, gram[:, i])
-        elif n > 1:
-            # the column's own normal equations over its dictionary's Gram block
-            dictionary = others[i]
-            z[dictionary, i] = linalg.solve_spd(
-                system.take(dictionary, 0).take(dictionary, 1), gram[dictionary, i]
-            )
+    if not zero_diag:
+        for i in range(n):
+            z[:, i] = linalg.cholesky_solve(system, gram[:, i])
+    elif n > 1:
+        # column i's dictionary is 0, ..., i - 1, i + 1, ..., n - 1: its Gram
+        # block takes rows and columns :i and i + 1: of the system. Only the
+        # lower triangle is read, so only that part of row and column i - 1
+        # is rewritten; the upper triangle keeps column 0's block.
+        block = np.asfortranarray(system[1:, 1:])
+        for i in range(n):
+            if i:
+                block[i - 1, :i] = system[i - 1, :i]
+                block[i:, i - 1] = system[i + 1:, i - 1]
+            s = linalg.cholesky_solve(block, np.concatenate((gram[:i, i], gram[i + 1:, i])))
+            z[:i, i] = s[:i]
+            z[i + 1:, i] = s[i:]
     return Coefficients(z, lam, LSR1 if zero_diag else LSR2)

@@ -204,6 +204,33 @@ class TestSegment:
         assert (counts[0] is None) is dense
         assert report.error_rate < 0.05
 
+    @pytest.mark.parametrize("samples, svds", [((70,) * 3, [False]), ((7,) * 3, [False, True])],
+                             ids=["thin", "full"])
+    def test_constrained_run_leaves_numpy_svd_alone(self, tmp_path, monkeypatch, samples, svds):
+        # both projector paths take their SVDs on scipy's LAPACK: 70 samples
+        # per 4-dim subspace keep every leverage low, d_i + 3 do not
+        path = tmp_path / "d.csv"
+        spec = datagen.SubspaceSpec(ambient_dim=30, subspace_dims=(4,) * 3,
+                                    samples_per_subspace=samples, seed=4)
+        ingest.write_csv(datagen.generate(spec)[0], path)
+
+        def numpy_svd(*args, **kwargs):
+            raise AssertionError("numpy's svd called")
+
+        flags, scipy_svd = [], scipy.linalg.svd
+
+        def spy(a, full_matrices=True, **kwargs):
+            flags.append(full_matrices)
+            return scipy_svd(a, full_matrices=full_matrices, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", numpy_svd)
+        monkeypatch.setattr(scipy.linalg, "svd", spy)
+        report = cli.run_segmentation(cli.RunConfig("segment", input=str(path),
+                                                    solver="constrained"))
+        assert flags == svds
+        assert report.error_rate == 0.0
+        assert report.block_diag_violation <= 1e-8
+
     @pytest.mark.parametrize("solver", ["constrained", "lsr1", "lsr2"])
     def test_two_lines_violation_is_scored_on_w(self, solver, tmp_path):
         x = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 2.0]])
@@ -355,19 +382,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Gram matrix" in err and "overflows" in err
 
-    @pytest.mark.parametrize("solver", ["lsr1", "lsr2"])
-    def test_lambda_below_rounding_is_numeric_error(self, solver, tmp_path, capsys):
-        # sample 0 is orthogonal to the others: at lam = 1e-17 rounding
-        # decides 1 - x_0^T y_0, so no coefficients are written
-        path = tmp_path / "lever.csv"
-        ingest.write_csv(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.6, 0.8],
-                                   [0.0, 0.0, 0.8, 0.6]]), path)
-        out = tmp_path / "z.csv"
-        assert run("solve", "--input", path, "--output", out, "--solver", solver,
-                   "--lambda", 1e-17) == cli.EXIT_NUMERIC
-        assert "column 0" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_lanczos_no_convergence_is_numeric_error(self, tmp_path, monkeypatch, capsys):
         def no_convergence(a, k, **kwargs):
             raise scipy.sparse.linalg.ArpackNoConvergence(
@@ -384,12 +398,12 @@ class TestExitCodes:
         assert "Lanczos eigensolve: ARPACK error -1: No convergence" in capsys.readouterr().err
 
     def test_svd_no_convergence_is_numeric_error(self, dataset, monkeypatch, capsys):
-        # np.linalg.LinAlgError is a ValueError, yet a LAPACK failure, not a
-        # configuration error
+        # LinAlgError (numpy's, which scipy raises too) is a ValueError, yet a
+        # LAPACK failure, not a configuration error
         def no_convergence(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
+            raise scipy.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        monkeypatch.setattr(scipy.linalg, "svd", no_convergence)
         assert run("segment", "--input", dataset, "--solver", "constrained") == cli.EXIT_NUMERIC
         assert "numeric error: SVD did not converge" in capsys.readouterr().err
 
@@ -573,7 +587,8 @@ class TestTinyLambda:
             reference = dict(zip(("lsr1", "lsr2"), ridge_reference(x, lam)))[solver]
             assert relative_gap(ingest.load_csv(out).x, reference) <= 1e-8
         else:
-            assert "lambda is too small" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "lambda is too small" in err and "column 0" in err
             assert not out.exists()
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsrseg import datagen, metrics, solvers, spectral
+from lsrseg import datagen, linalg, metrics, solvers, spectral
 
 MIXING_FEASIBLE_Z = np.array(
     [
@@ -348,6 +348,20 @@ class TestStackedEbdCheck:
         # so equal dumps mean equal trials, matrices and criterion bits
         assert json.dumps(suite["results"]) == json.dumps(results)
         assert suite["passed"]
+
+    def test_suite_takes_one_svd_per_stack(self, monkeypatch):
+        # nuclear, rank and msr read the same singular values of each of a
+        # shape group's five stacks
+        calls = []
+        singular_values = linalg.singular_values
+
+        def spy(a):
+            calls.append(a.shape)
+            return singular_values(a)
+
+        monkeypatch.setattr(linalg, "singular_values", spy)
+        metrics.ebd_conditions_suite(200, 0)
+        assert len(calls) == 5 * len(set(metrics._draw_ebd_trials(200, 0).shapes))
 
     @pytest.mark.parametrize("name", sorted(POWER_CRITERIA))
     @pytest.mark.parametrize("seed", [0, 1, 31])

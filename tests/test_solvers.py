@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import inspect
 
@@ -60,6 +61,94 @@ def relative_gap(z, reference):
 LEVERAGE_ONE_X = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.6, 0.8], [0.0, 0.0, 0.8, 0.6]])
 
 
+def near_singular_union():
+    """The seed-7251 union of five 2- and 3-dim subspaces, d_i + 3 samples
+    each, and its coefficient blocks C_i (X = B C)."""
+    dims = (3, 2, 2, 3, 2)
+    rng = np.random.default_rng(7251)
+    blocks = [rng.standard_normal((d, d + 3)) for d in dims]
+    spec = datagen.SubspaceSpec(
+        ambient_dim=sum(dims) + 2,
+        subspace_dims=dims,
+        samples_per_subspace=tuple(d + 3 for d in dims),
+        seed=7251,
+    )
+    data, _ = datagen.generate(spec, coefficients=blocks)
+    return data, blocks
+
+
+def well_spread_union():
+    """Three 4-dim subspaces of R^30 with 70 samples each: every leverage is
+    far below 1."""
+    spec = datagen.SubspaceSpec(ambient_dim=30, subspace_dims=(4,) * 3,
+                                samples_per_subspace=(70,) * 3, seed=4)
+    return datagen.generate(spec)[0]
+
+
+def spy_on_svd(patch):
+    """Patches scipy.linalg.svd to record the full_matrices flag of each call;
+    returns the list it appends to."""
+    calls = []
+    svd = scipy.linalg.svd
+
+    def spy(a, full_matrices=True, **kwargs):
+        calls.append(full_matrices)
+        return svd(a, full_matrices=full_matrices, **kwargs)
+
+    patch.setattr(scipy.linalg, "svd", spy)
+    return calls
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The full_matrices flag of every scipy SVD taken while the test runs."""
+    return spy_on_svd(monkeypatch)
+
+
+PROJECTOR_PATHS = ("thin", "full")
+
+
+@contextlib.contextmanager
+def projector_path(path):
+    """Sends every lsr_constrained call in the block down the "thin" or the
+    "full" projector path, by moving its gate's margin out of reach, and
+    checks that each call took the SVDs of that path."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "THIN_PROJECTOR_MIN_DIAG", -np.inf if path == "thin" else np.inf)
+        calls = spy_on_svd(patch)
+        yield
+    per_call = [False] if path == "thin" else [False, True]
+    assert calls and calls == per_call * (len(calls) // len(per_call))
+
+
+class TestProjectorGate:
+    def test_near_singular_reference_takes_full_path(self, svd_calls):
+        # a leverage of 0.9998: I - V_r V_r^T would lose the 1e-10 bound
+        solvers.lsr_constrained(near_singular_union()[0])
+        assert svd_calls == [False, True]
+
+    def test_well_spread_union_takes_thin_path(self, svd_calls):
+        x = well_spread_union()
+        z = solvers.lsr_constrained(x).z
+        assert svd_calls == [False]
+        _, s, vt = np.linalg.svd(x.x, full_matrices=True)
+        null_basis = vt[linalg.numeric_rank(s):]
+        full = solvers._zero_diag_rescale(null_basis.T @ null_basis)
+        assert np.max(np.abs(z - full)) <= 1e-14
+
+    def test_margin_is_on_the_projector_diagonal(self, monkeypatch, svd_calls):
+        x = well_spread_union()
+        _, s, vt = np.linalg.svd(x.x, full_matrices=False)
+        # the gate reads min Q[i, i] = 1 - max_i ||V_r^T e_i||^2
+        row_space = vt[: linalg.numeric_rank(s)]
+        min_diag = 1.0 - np.max(np.sum(row_space**2, axis=0))
+        monkeypatch.setattr(solvers, "THIN_PROJECTOR_MIN_DIAG", min_diag * (1 + 1e-9))
+        solvers.lsr_constrained(x)
+        monkeypatch.setattr(solvers, "THIN_PROJECTOR_MIN_DIAG", min_diag * (1 - 1e-9))
+        solvers.lsr_constrained(x)
+        assert svd_calls == [False, True, False]
+
+
 class TestLsrConstrained:
     def test_two_lines_first_column(self):
         coeffs = solvers.lsr_constrained(TWO_LINES_X)
@@ -106,11 +195,14 @@ class TestLsrConstrained:
         # X = XZ is homogeneous, so scaling the data changes no answer,
         # though the squared column norms under- or overflow float64 at
         # 1e-200 and 1e200.
-        with pytest.raises(solvers.InfeasibleColumn) as err:
-            solvers.lsr_constrained(scale * np.eye(3))
-        assert (err.value.index, err.value.residual) == (0, 1.0)
-        z = solvers.lsr_constrained(scale * TWO_LINES_X).z
-        assert np.allclose(z, solvers.lsr_constrained(TWO_LINES_X).z, rtol=0.0, atol=1e-15)
+        for path in PROJECTOR_PATHS:
+            with projector_path(path):
+                with pytest.raises(solvers.InfeasibleColumn) as err:
+                    solvers.lsr_constrained(scale * np.eye(3))
+                assert (err.value.index, err.value.residual) == (0, 1.0)
+                z = solvers.lsr_constrained(scale * TWO_LINES_X).z
+                unscaled = solvers.lsr_constrained(TWO_LINES_X).z
+            assert np.allclose(z, unscaled, rtol=0.0, atol=1e-15)
 
     def test_single_column(self):
         with pytest.raises(solvers.InfeasibleColumn):
@@ -124,12 +216,14 @@ class TestLsrConstrained:
         ))
         x = data.x.copy()
         x[:, 3] = 0.0
-        z = solvers.lsr_constrained(x).z
-        assert not z[3].any() and not z[:, 3].any()
-        # the other samples get the solution without the zero one
         keep = np.arange(16) != 3
-        reduced = solvers.lsr_constrained(x[:, keep]).z
-        assert np.max(np.abs(z[np.ix_(keep, keep)] - reduced)) <= 1e-12
+        for path in PROJECTOR_PATHS:
+            with projector_path(path):
+                z = solvers.lsr_constrained(x).z
+                # the other samples get the solution without the zero one
+                reduced = solvers.lsr_constrained(x[:, keep]).z
+            assert not z[3].any() and not z[:, 3].any()
+            assert np.max(np.abs(z[np.ix_(keep, keep)] - reduced)) <= 1e-12
 
     @pytest.mark.parametrize(
         "x, expected",
@@ -192,16 +286,7 @@ class TestLsrConstrained:
         # |Z| ~ 42, where forming the projector as I - V_r V_r^T loses the
         # 1e-10 bound.
         mpmath = pytest.importorskip("mpmath")
-        dims = (3, 2, 2, 3, 2)
-        rng = np.random.default_rng(7251)
-        blocks = [rng.standard_normal((d, d + 3)) for d in dims]
-        spec = datagen.SubspaceSpec(
-            ambient_dim=sum(dims) + 2,
-            subspace_dims=dims,
-            samples_per_subspace=tuple(d + 3 for d in dims),
-            seed=7251,
-        )
-        data, _ = datagen.generate(spec, coefficients=blocks)
+        data, blocks = near_singular_union()
         c_np = scipy.linalg.block_diag(*blocks)
         n = c_np.shape[1]
         reference = np.zeros((n, n))
@@ -395,8 +480,9 @@ class TestColumnOracle:
             solvers.column_oracle_ridge(np.eye(2), -1.0)
 
     @pytest.mark.parametrize("zero_diag", [True, False])
-    @pytest.mark.parametrize("d, n", [(5, 9), (9, 5), (3, 1), (4, 2)],
-                             ids=["d_below_n", "d_above_n", "n1", "n2"])
+    @pytest.mark.parametrize("d, n", [(5, 9), (9, 5), (3, 1), (4, 2), (2, 2), (3, 3), (6, 3)],
+                             ids=["d_below_n", "d_above_n", "n1", "n2", "n2_d2", "n3_d3",
+                                  "n3_d6"])
     def test_bit_identical_to_per_column_system(self, zero_diag, d, n):
         # reference: each column builds its own block and adds its own lam*I;
         # forming X^T X + lam*I once puts lam on the same entries
@@ -417,19 +503,20 @@ class TestColumnOracle:
 
     @pytest.mark.parametrize("zero_diag", [True, False])
     def test_one_solve_per_column(self, monkeypatch, zero_diag):
+        # one LAPACK factorization per column, of the column's own block
         calls = []
-        solve_spd = linalg.solve_spd
+        dpotrf = linalg.dpotrf
 
-        def counting(a, b):
-            calls.append((a.shape, b.shape))
-            return solve_spd(a, b)
+        def counting(a, **kwargs):
+            calls.append(a.shape)
+            return dpotrf(a, **kwargs)
 
-        monkeypatch.setattr(linalg, "solve_spd", counting)
+        monkeypatch.setattr(linalg, "dpotrf", counting)
         n = 6
         solvers.column_oracle_ridge(np.random.default_rng(2).standard_normal((4, n)), 0.5,
                                     zero_diag=zero_diag)
         m = n - 1 if zero_diag else n
-        assert calls == [((m, m), (m,))] * n
+        assert calls == [(m, m)] * n
 
 
 LAMBDA_SOLVERS = {
