@@ -197,10 +197,11 @@ def pca_project(data, target_dim: int) -> DataMatrix:
     are fixed up to sign, which leaves the projected X^T X unchanged.
 
     No mean-centering: the subspace model is linear (through the origin),
-    so centering would bend it.
+    so centering would bend it. A raw array is validated by
+    ``linalg.as_matrix``, as ``solvers.data_array`` does.
     """
     is_dm = isinstance(data, DataMatrix)
-    mat = data.x if is_dm else np.asarray(data, dtype=np.float64)
+    mat = data.x if is_dm else linalg.as_matrix(data, name="data matrix")
     d, n = mat.shape
     if not 1 <= target_dim <= min(d, n):
         raise DimensionError(

@@ -1,7 +1,14 @@
 """Dense matrix primitives shared by every other module.
 
-Inputs are validated, finite float64 matrices. Factorizations are delegated
-to LAPACK, and partial symmetric eigensolves to ARPACK.
+Each array is validated once, where it enters the package from outside:
+``as_matrix`` checks it in ``DataMatrix``, ``Coefficients`` and
+``Affinity``, and a raw array in ``solvers.data_array``/``coefficient_array``
+and ``ingest.pca_project``; ``spectral.kmeans`` checks its points. So
+``matmul``, ``solve_spd``, ``sym_eigen`` and ``pseudo_inverse`` take the
+finite float64 arrays of conforming shape that their callers built,
+unchecked. The rank helpers still check theirs, since the criteria in
+``metrics`` pass them whatever matrix their own caller gave. Factorizations
+are delegated to LAPACK, and partial symmetric eigensolves to ARPACK.
 
 One BLAS per run. numpy and scipy link separate OpenBLAS libraries, each
 with its own thread pool, and the idle threads of one pool spin against the
@@ -84,16 +91,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 def _nonempty_finite(m: np.ndarray, name: str) -> np.ndarray:
     if m.size == 0:
         raise DimensionMismatch(f"{name} must be nonempty, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    # a non-finite entry makes the sum non-finite, so only a sum that is not
+    # finite (or that overflowed) needs the element-wise test and its temporary
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = m.sum()
+    if not np.isfinite(total) and not np.isfinite(m).all():
         raise NonFiniteMatrix(f"{name} contains non-finite entries")
     return m
-
-
-def _square(a) -> np.ndarray:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected square matrix, got {a.shape}")
-    return a
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -115,30 +119,13 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dgemm(1.0, b_arg, a_arg, trans_a=trans_b, trans_b=trans_a).T
 
 
-def solve_spd(a, b) -> np.ndarray:
-    """Solve a @ s = b for symmetric positive-definite `a` via Cholesky.
+def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a @ s = b for a symmetric positive-definite `a` by LAPACK's
+    ``potrf`` and ``potrs`` on its lower triangle, which is left unchanged.
 
-    Only the lower triangle of `a` is read. `b` may be a vector or a matrix
-    of right-hand sides; the result has the same trailing shape.
+    `b` may be a vector or a matrix of right-hand sides; the result has the
+    same trailing shape.
     """
-    a = _square(a)
-    b_arr = np.asarray(b, dtype=np.float64)
-    if b_arr.ndim not in (1, 2):
-        raise DimensionMismatch(f"rhs must be 1-D or 2-D, got ndim={b_arr.ndim}")
-    if b_arr.shape[0] != a.shape[0]:
-        raise DimensionMismatch(
-            f"rhs has {b_arr.shape[0]} rows, matrix is {a.shape[0]}x{a.shape[1]}"
-        )
-    if not np.isfinite(b_arr).all():
-        raise NonFiniteMatrix("rhs contains non-finite entries")
-    return cholesky_solve(a, b_arr)
-
-
-def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``solve_spd`` without its input checks, for a finite float64 square `a`
-    and a conforming finite rhs `b` that the caller built itself: LAPACK's
-    ``potrf`` and ``potrs`` on the lower triangle of `a`, which is left
-    unchanged."""
     factor, info = dpotrf(a, lower=1, clean=0)
     if info > 0:
         raise NotPositiveDefinite(f"{info}-th leading minor is not positive definite")
@@ -170,7 +157,6 @@ def sym_eigen(a, count: int | None = None) -> SymEigen:
     products a @ v.
     """
     if count is None:
-        a = _square(a)
         try:
             values, vectors = scipy.linalg.eigh(a, driver="evd", check_finite=False)
         except scipy.linalg.LinAlgError as exc:
@@ -185,9 +171,9 @@ def sym_eigen(a, count: int | None = None) -> SymEigen:
     return SymEigen(values, vectors)
 
 
-def pseudo_inverse(a) -> np.ndarray:
+def pseudo_inverse(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse; singular values below SV_CUTOFF*sigma_max are dropped."""
-    return np.linalg.pinv(as_matrix(a), rcond=SV_CUTOFF)
+    return np.linalg.pinv(a, rcond=SV_CUTOFF)
 
 
 def singular_values(a) -> np.ndarray:

@@ -18,14 +18,14 @@ Y = (X X^T + lam*I_d)^{-1} X, the Woodbury identity gives lam*P = I - X^T Y,
 so ``lsr2`` is X^T Y and ``lsr1`` rescales I - X^T Y (the 1/lam cancels).
 
 The ridge forms take their products (the Gram matrix and X^T Y) with
-``linalg.matmul`` and their Cholesky solves with ``linalg.solve_spd``;
-``lsr_constrained`` takes its SVDs with ``scipy.linalg.svd`` and its
-products with ``linalg.matmul``; ``column_oracle_ridge`` factors with
-``linalg.cholesky_solve``. Every solver's ``segment`` run thus stays on
-scipy's BLAS (see ``linalg``). numpy's serves only the
-``linalg.pseudo_inverse`` refits of columns the constrained closed form
-does not fit, ``ingest.pca_project``'s SVD fallback, the check suites and
-``datagen``.
+``linalg.matmul`` and their Cholesky solves with ``linalg.solve_spd``, as
+``column_oracle_ridge`` takes its own; ``lsr_constrained`` takes its SVDs
+with ``scipy.linalg.svd`` and its products with ``linalg.matmul``. The three
+diag-constrained forms share one rescale, ``_zero_diag_rescale``. Every
+solver's ``segment`` run thus stays on scipy's BLAS (see ``linalg``).
+numpy's serves only the ``linalg.pseudo_inverse`` refits of columns the
+constrained closed form does not fit, ``ingest.pca_project``'s SVD
+fallback, the check suites and ``datagen``.
 """
 
 from __future__ import annotations
@@ -129,15 +129,17 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
-def _zero_diag_rescale(p: np.ndarray) -> np.ndarray:
-    """Z[:, i] = -P[:, i] / P[i, i] with a zero diagonal, in place of P.
+def _zero_diag_rescale(p: np.ndarray, divisors: np.ndarray) -> np.ndarray:
+    """Z[:, i] = P[:, i] / divisors[i] with a zero diagonal, in place of P.
 
-    P = (X^T X + lam*I)^{-1} gives the diag-constrained ridge solution, and
-    P = the projector onto null(X) its lam -> 0 limit. A zero P[i, i] leaves
-    non-finite entries in column i for the caller to reject.
+    With divisors -diag(P), P = (X^T X + lam*I)^{-1} gives the
+    diag-constrained ridge solution, and P = Q, the projector onto null(X),
+    its lam -> 0 limit; with 1 - diag(X^T Y), P = X^T Y gives the ridge
+    solution for d < n. A zero divisor leaves non-finite entries in column i
+    for the caller to reject.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        p /= -np.diag(p)
+        p /= divisors
     np.fill_diagonal(p, 0.0)
     return p
 
@@ -161,15 +163,17 @@ def _null_projector(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     From a thin SVD, Q = I - V_r V_r^T, whose diagonal Q[i, i] =
     1 - ||V_r^T e_i||^2 cancels as column i's leverage nears 1. That form is
     kept only when every Q[i, i] exceeds THIN_PROJECTOR_MIN_DIAG; otherwise
-    Q = N N^T from the trailing right singular vectors N of a full SVD.
-    The rank cut is ``linalg.numeric_rank``.
+    Q = N N^T from the trailing right singular vectors N of the full V: the
+    thin SVD's V^T when d >= n, else a full SVD's. The rank cut is
+    ``linalg.numeric_rank``.
     """
     _, s, vt = _svd(mat, full_matrices=False)
     row_space = vt[: linalg.numeric_rank(s)]
     if 1.0 - np.einsum("ij,ij->j", row_space, row_space).max() > THIN_PROJECTOR_MIN_DIAG:
         return _identity_minus(linalg.matmul(row_space.T, row_space), 1.0), s
-    del vt, row_space
-    _, s, vt = _svd(mat, full_matrices=True)
+    if mat.shape[0] < mat.shape[1]:
+        del vt, row_space
+        _, s, vt = _svd(mat, full_matrices=True)
     null_basis = vt[linalg.numeric_rank(s):]
     return linalg.matmul(null_basis.T, null_basis), s
 
@@ -199,7 +203,7 @@ def lsr_constrained(x) -> Coefficients:
     mat = data_array(x)
     n = mat.shape[1]
     q, s = _null_projector(mat)
-    z = _zero_diag_rescale(q)
+    z = _zero_diag_rescale(q, -np.diag(q))
     mat = np.ldexp(mat, -np.frexp(s[0])[1])
     norms = np.linalg.norm(mat, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -282,15 +286,13 @@ def lsr1(x, lam: float) -> Coefficients:
     one reduced ridge system per column. For d < n that is
     Z[:, i] = (X^T Y)[:, i] / (1 - (X^T Y)[i, i]) off the diagonal, taken in
     one pass over X^T Y: bit for bit the rescale of I - X^T Y, since negating
-    both sides of a quotient is exact.
+    both sides of a quotient is exact. _check_divisors has ruled out a zero
+    divisor.
     """
     lam = _check_lambda(lam)
     m, thin = _ridge_inverse(x, lam)
-    if not thin:
-        return Coefficients(_zero_diag_rescale(m), lam, LSR1)
-    m /= 1.0 - np.diag(m)  # _check_divisors has ruled out a zero divisor
-    np.fill_diagonal(m, 0.0)
-    return Coefficients(m, lam, LSR1)
+    divisors = 1.0 - np.diag(m) if thin else -np.diag(m)
+    return Coefficients(_zero_diag_rescale(m, divisors), lam, LSR1)
 
 
 def lsr2(x, lam: float) -> Coefficients:
@@ -311,7 +313,7 @@ def column_oracle_ridge(x, lam: float, zero_diag: bool = True) -> Coefficients:
     The columns share only lam added to the Gram diagonal, X^T X + lam*I
     formed once; each column still factors and solves its own block of it
     (without its own row and column when zero_diag) by its own
-    ``linalg.cholesky_solve``, LAPACK's ``potrf`` and ``potrs``. The block
+    ``linalg.solve_spd``, LAPACK's ``potrf`` and ``potrs``. The block
     is kept in one Fortran-ordered array: column i's dictionary differs
     from column i-1's only in its place i-1, which holds i - 1 where the
     previous one held i, so only that row and column of the block are
@@ -324,7 +326,7 @@ def column_oracle_ridge(x, lam: float, zero_diag: bool = True) -> Coefficients:
     z = np.zeros((n, n))
     if not zero_diag:
         for i in range(n):
-            z[:, i] = linalg.cholesky_solve(system, gram[:, i])
+            z[:, i] = linalg.solve_spd(system, gram[:, i])
     elif n > 1:
         # column i's dictionary is 0, ..., i - 1, i + 1, ..., n - 1: its Gram
         # block takes rows and columns :i and i + 1: of the system. Only the
@@ -335,7 +337,7 @@ def column_oracle_ridge(x, lam: float, zero_diag: bool = True) -> Coefficients:
             if i:
                 block[i - 1, :i] = system[i - 1, :i]
                 block[i:, i - 1] = system[i + 1:, i - 1]
-            s = linalg.cholesky_solve(block, np.concatenate((gram[:i, i], gram[i + 1:, i])))
+            s = linalg.solve_spd(block, np.concatenate((gram[:i, i], gram[i + 1:, i])))
             z[:i, i] = s[:i]
             z[i + 1:, i] = s[i:]
     return Coefficients(z, lam, LSR1 if zero_diag else LSR2)

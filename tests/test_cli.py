@@ -204,13 +204,17 @@ class TestSegment:
         assert (counts[0] is None) is dense
         assert report.error_rate < 0.05
 
-    @pytest.mark.parametrize("samples, svds", [((70,) * 3, [False]), ((7,) * 3, [False, True])],
-                             ids=["thin", "full"])
-    def test_constrained_run_leaves_numpy_svd_alone(self, tmp_path, monkeypatch, samples, svds):
+    @pytest.mark.parametrize("ambient_dim, samples, svds", [
+        (30, (70,) * 3, [False]), (30, (7,) * 3, [False]), (20, (7,) * 3, [False, True]),
+    ], ids=["thin", "full", "full_d_lt_n"])
+    def test_constrained_run_leaves_numpy_svd_alone(self, tmp_path, monkeypatch, ambient_dim,
+                                                    samples, svds):
         # both projector paths take their SVDs on scipy's LAPACK: 70 samples
-        # per 4-dim subspace keep every leverage low, d_i + 3 do not
+        # per 4-dim subspace keep every leverage low, d_i + 3 do not. The full
+        # path takes a second, full SVD only when d < n: at d = 30 >= n = 21
+        # the thin V^T is all of V
         path = tmp_path / "d.csv"
-        spec = datagen.SubspaceSpec(ambient_dim=30, subspace_dims=(4,) * 3,
+        spec = datagen.SubspaceSpec(ambient_dim=ambient_dim, subspace_dims=(4,) * 3,
                                     samples_per_subspace=samples, seed=4)
         ingest.write_csv(datagen.generate(spec)[0], path)
 

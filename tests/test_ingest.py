@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsrseg import cli, datagen, ingest
+from lsrseg import cli, datagen, ingest, linalg
 from lsrseg.datagen import DataMatrix
 
 
@@ -258,6 +258,19 @@ class TestPcaProject:
     def test_dimension_error(self):
         with pytest.raises(ingest.DimensionError):
             ingest.pca_project(np.eye(4), 5)
+
+    @pytest.mark.parametrize("data, error", [
+        (np.ones(6), linalg.DimensionMismatch),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), linalg.NonFiniteMatrix),
+    ], ids=["one_d", "nan"])
+    def test_raw_array_is_validated_at_entry(self, monkeypatch, data, error):
+        # the eigensolver checks nothing: a bad array must stop before it
+        def refuse(*args, **kwargs):
+            raise AssertionError("an unchecked array reached sym_eigen")
+
+        monkeypatch.setattr(linalg, "sym_eigen", refuse)
+        with pytest.raises(error):
+            ingest.pca_project(data, 1)
 
     @pytest.mark.parametrize("shape", [(40, 15), (15, 40)])
     def test_gram_route_matches_svd(self, shape):

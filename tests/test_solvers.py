@@ -85,14 +85,16 @@ def well_spread_union():
     return datagen.generate(spec)[0]
 
 
-def spy_on_svd(patch):
-    """Patches scipy.linalg.svd to record the full_matrices flag of each call;
-    returns the list it appends to."""
+def spy_on_svd(patch, shapes=None):
+    """Patches scipy.linalg.svd to record the full_matrices flag of each call,
+    and its matrix's shape in `shapes` if given; returns the list of flags."""
     calls = []
     svd = scipy.linalg.svd
 
     def spy(a, full_matrices=True, **kwargs):
         calls.append(full_matrices)
+        if shapes is not None:
+            shapes.append(np.shape(a))
         return svd(a, full_matrices=full_matrices, **kwargs)
 
     patch.setattr(scipy.linalg, "svd", spy)
@@ -112,13 +114,18 @@ PROJECTOR_PATHS = ("thin", "full")
 def projector_path(path):
     """Sends every lsr_constrained call in the block down the "thin" or the
     "full" projector path, by moving its gate's margin out of reach, and
-    checks that each call took the SVDs of that path."""
+    checks that each call took the SVDs of that path: a thin one, and on the
+    full path a full one only when d < n (else the thin V^T is all of V)."""
+    shapes = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solvers, "THIN_PROJECTOR_MIN_DIAG", -np.inf if path == "thin" else np.inf)
-        calls = spy_on_svd(patch)
+        calls = spy_on_svd(patch, shapes)
         yield
-    per_call = [False] if path == "thin" else [False, True]
-    assert calls and calls == per_call * (len(calls) // len(per_call))
+    expected = []
+    for (d, n), full in zip(shapes, calls):
+        if not full:  # each call starts with its thin SVD
+            expected += [False, True] if path == "full" and d < n else [False]
+    assert calls and calls == expected
 
 
 class TestProjectorGate:
@@ -133,8 +140,25 @@ class TestProjectorGate:
         assert svd_calls == [False]
         _, s, vt = np.linalg.svd(x.x, full_matrices=True)
         null_basis = vt[linalg.numeric_rank(s):]
-        full = solvers._zero_diag_rescale(null_basis.T @ null_basis)
+        q = null_basis.T @ null_basis
+        full = solvers._zero_diag_rescale(q, -np.diag(q))
         assert np.max(np.abs(z - full)) <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(12, 12), (30, 21)], ids=["square", "tall"])
+    def test_gated_d_ge_n_reuses_the_thin_svd(self, monkeypatch, svd_calls, shape):
+        # when d >= n the thin SVD's V^T is all of V: the gated path takes no
+        # second SVD, and its N N^T is bit for bit the full SVD's
+        d, n = shape
+        rng = np.random.default_rng(shape)
+        x = rng.standard_normal((d, 4)) @ rng.standard_normal((4, n))
+        monkeypatch.setattr(solvers, "THIN_PROJECTOR_MIN_DIAG", np.inf)
+        z = solvers.lsr_constrained(x).z
+        assert svd_calls == [False]
+        _, s, vt = scipy.linalg.svd(x, full_matrices=True, lapack_driver="gesdd")
+        null_basis = vt[linalg.numeric_rank(s):]
+        q = linalg.matmul(null_basis.T, null_basis)
+        full = solvers._zero_diag_rescale(q, -np.diag(q))
+        assert np.array_equal(z.view(np.uint64), full.view(np.uint64))
 
     def test_margin_is_on_the_projector_diagonal(self, monkeypatch, svd_calls):
         x = well_spread_union()
@@ -347,7 +371,8 @@ class TestLsr1:
             lam = scale**2 * 10.0 ** rng.uniform(-3, 1)
             m, thin = solvers._ridge_inverse(x, lam)
             assert thin
-            reference = solvers._zero_diag_rescale(solvers._identity_minus(m, 1.0))
+            identity_minus = solvers._identity_minus(m, 1.0)
+            reference = solvers._zero_diag_rescale(identity_minus, -np.diag(identity_minus))
             z = solvers.lsr1(x, lam).z
             assert np.array_equal(z.view(np.uint64), reference.view(np.uint64))
 
@@ -661,6 +686,22 @@ class TestBlockDiagonalStructure:
 
 
 class TestCoefficients:
+    @pytest.mark.parametrize("solver", [solvers.lsr1, solvers.lsr2], ids=["lsr1", "lsr2"])
+    @pytest.mark.parametrize("shape", [(5, 12), (12, 8)], ids=["d_lt_n", "d_ge_n"])
+    def test_ridge_solve_validates_only_its_output(self, monkeypatch, solver, shape):
+        # a DataMatrix was checked when it was built: the solve checks no
+        # array again but Z, once, as Coefficients
+        data = datagen.DataMatrix(np.random.default_rng(shape).standard_normal(shape))
+        names, as_matrix = [], linalg.as_matrix
+
+        def spy(a, name="matrix"):
+            names.append(name)
+            return as_matrix(a, name)
+
+        monkeypatch.setattr(linalg, "as_matrix", spy)
+        solver(data, 0.1)
+        assert names == ["coefficient matrix"]
+
     def test_coefficient_array_unwraps_without_copy(self):
         coeffs = solvers.lsr2(np.eye(2), 1.0)
         assert solvers.coefficient_array(coeffs) is coeffs.z

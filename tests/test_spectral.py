@@ -602,15 +602,16 @@ class TestPeakMemory:
     """Live n x n float64 buffers per layer call, traced by tracemalloc.
 
     At n = 500, with d = 30 < n each ridge solver holds only X^T Y, rescaled
-    or returned in place, plus the n x n boolean of its finiteness check
-    (1.13 here). The affinity is one |Z| copy symmetrized in place, tile by
-    tile (1.13 with the tile temporaries). Normalized cuts forms no n x n
-    buffer: the Lanczos basis and work vectors of length n are all it adds
-    to its input affinity (0.11 here). The block-diagonality score holds
-    |Z| of one block of metrics.VIOLATION_BLOCK_ROWS rows at a time (0.14).
+    or returned in place (1.07 here; 1.13 while the finiteness check of Z
+    built an n x n boolean). The affinity is one |Z| copy symmetrized in
+    place, tile by tile (1.13 with the tile temporaries). Normalized cuts
+    forms no n x n buffer: the Lanczos basis and work vectors of length n are
+    all it adds to its input affinity (0.11 here). The block-diagonality
+    score holds |Z| of one block of metrics.VIOLATION_BLOCK_ROWS rows at a
+    time (0.14).
 
     A whole ``segment`` run at n = 1000 builds W over the solver's Z, so after
-    the solve it holds W and little more (1.16; was 3.16): the score reads
+    the solve it holds W and little more (1.08; was 3.16): the score reads
     W's rows in place.
     """
 
@@ -648,7 +649,7 @@ class TestPeakMemory:
         return (peak - start) / (8.0 * n**2)
 
     @pytest.mark.parametrize("layer, limit", [
-        ("lsr1", 1.2), ("lsr2", 1.2), ("build_affinity", 1.2), ("normalized_cuts", 0.2),
+        ("lsr1", 1.1), ("lsr2", 1.1), ("build_affinity", 1.2), ("normalized_cuts", 0.2),
         ("block_diag_violation", 0.25),
     ])
     def test_peak_nxn_buffers(self, pipeline, layer, limit):
@@ -666,7 +667,7 @@ class TestPeakMemory:
         path = tmp_path / "d.csv"
         ingest.write_csv(datagen.generate(spec)[0], path)
         cfg = cli.RunConfig("segment", input=str(path), solver=solver, lam=1e-2)
-        assert self.traced_nxn(self.RUN_N, cli.run_segmentation, cfg) <= 1.3
+        assert self.traced_nxn(self.RUN_N, cli.run_segmentation, cfg) <= 1.2
 
 
 class TestLabeling:
