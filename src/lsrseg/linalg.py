@@ -196,4 +196,4 @@ def numeric_rank(s: np.ndarray):
 
 def matrix_rank(a) -> int:
     """Numeric rank: number of singular values above SV_CUTOFF*sigma_max."""
-    return numeric_rank(singular_values(as_matrix(a)))
+    return numeric_rank(np.linalg.svd(as_matrix(a), compute_uv=False))

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from . import datagen, linalg, solvers, spectral
 from .solvers import Coefficients, coefficient_array, data_array
@@ -105,8 +106,12 @@ def align_clusters(pred, truth) -> tuple[float, dict[int, int]]:
     """Best-permutation alignment of predicted onto true cluster labels.
 
     Returns (error_rate, mapping) where mapping sends predicted label ids
-    to the true label ids they were matched with, by an exact Hungarian
-    assignment on the confusion matrix.
+    to the true label ids they were matched with: a maximum-weight full
+    bipartite matching of the confusion matrix (scipy's csgraph), with
+    min(kp, kt) pairs. The weights are the counts plus 1, so every pair is
+    an edge and a full matching exists; the 1 adds the same min(kp, kt) to
+    every full matching and leaves the optimum where it is. The mapping is
+    one maximum matching; which of several tied ones is unspecified.
     """
     p = _labels_array(pred)
     t = _labels_array(truth)
@@ -122,7 +127,7 @@ def align_clusters(pred, truth) -> tuple[float, dict[int, int]]:
     confusion = np.zeros((kp, kt), dtype=int)
     np.add.at(confusion, (p_inv, t_inv), 1)
 
-    rows, cols = linear_sum_assignment(-confusion)
+    rows, cols = min_weight_full_bipartite_matching(csr_matrix(confusion + 1), maximize=True)
     matches = int(confusion[rows, cols].sum())
     mapping = {int(p_ids[a]): int(t_ids[b]) for a, b in zip(rows, cols)}
     return 1.0 - matches / n, mapping
@@ -387,9 +392,7 @@ def check_ebd(
     stacks of Z, Z_D, ZP, A and D, and the conditions are array comparisons.
     A condition's counterexample is its failing trial of lowest index. The
     trials are drawn in sequence from one generator, the permutation on
-    every trial, so they do not depend on f. (Earlier versions stopped
-    drawing it once permutation had failed, which changed the later trials
-    of such an f; no EBD_TABLE or power criterion fails permutation.)
+    every trial, so they do not depend on f.
     """
     draws = _draw_ebd_trials(trials, seed)
     values = _ebd_values({"f": (f, nonnegative)}, draws)["f"]

@@ -119,6 +119,28 @@ class TestSegment:
         # three exactly recovered subspaces: lambda_3 ~ 0 < lambda_4
         assert report["eigengap"] > spectral.EIGEN_TIE_TOL and not report["eigen_tie"]
 
+    def test_column_permutation_permutes_the_labels(self, tmp_path):
+        # the permutation condition end to end: 210 samples (past the dense
+        # cut, so Lanczos) segmented in a seeded column order score the same
+        # and give the same partition; eigengap, a Lanczos bound here, may
+        # move by rounding
+        path, shuffled = tmp_path / "d.csv", tmp_path / "p.csv"
+        assert run("synth", "--output", path, "--ambient-dim", 30, "--dims", "4,4,4",
+                   "--samples", "70,70,70", "--noise-sigma", 0.02, "--seed", 3) == cli.EXIT_OK
+        data = ingest.load_csv(path)
+        perm = np.random.default_rng(3).permutation(data.n_samples)
+        ingest.write_csv(datagen.DataMatrix(data.x[:, perm], labels=data.labels[perm]), shuffled)
+        reports = []
+        for csv in (path, shuffled):
+            out = tmp_path / f"{csv.stem}.json"
+            assert run("segment", "--input", csv, "--output", out) == cli.EXIT_OK
+            reports.append(json.loads(out.read_text())["report"])
+        plain, permuted = reports
+        assert plain["n_samples"] == 210 > spectral.DENSE_EIGEN_MAX_N
+        assert permuted["error_rate"] == plain["error_rate"]
+        labels = np.array(plain["predicted_labels"])
+        assert metrics.segmentation_error(permuted["predicted_labels"], labels[perm]) == 0.0
+
     def test_report_flags_lloyd_at_its_iteration_cap(self, dataset, tmp_path, monkeypatch):
         monkeypatch.setattr(spectral, "KMEANS_MAX_ITER", 1)
         out = tmp_path / "report.json"

@@ -330,3 +330,24 @@ class TestRankHelpers:
     def test_matrix_rank_rejects_a_stack(self):
         with pytest.raises(linalg.DimensionMismatch, match="2-D"):
             linalg.matrix_rank(np.ones((2, 3, 3)))
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.ones(3), linalg.DimensionMismatch),
+        (np.ones((0, 3)), linalg.DimensionMismatch),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), linalg.NonFiniteMatrix),
+    ], ids=["1-D", "empty", "nan"])
+    def test_matrix_rank_rejects_invalid_input(self, bad, error):
+        with pytest.raises(error):
+            linalg.matrix_rank(bad)
+
+    def test_matrix_rank_scans_its_input_once(self, monkeypatch):
+        calls = []
+        scan = linalg._nonempty_finite
+
+        def spy(m, name):
+            calls.append(m.shape)
+            return scan(m, name)
+
+        monkeypatch.setattr(linalg, "_nonempty_finite", spy)
+        assert linalg.matrix_rank(np.diag([1.0, 1e-14, 0.0])) == 1
+        assert calls == [(3, 3)]

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from lsrseg import datagen, linalg, metrics, solvers, spectral
 
@@ -87,6 +90,64 @@ class TestSegmentationError:
         assert metrics.segmentation_error(shuffle[pred], truth) == pytest.approx(
             metrics.segmentation_error(pred, truth)
         )
+
+
+@st.composite
+def labelings(draw):
+    """A (pred, truth) pair over kp and kt clusters of 1 to 11 labels, drawn
+    either at random or as every (predicted, true) pair `repeat` times, so
+    that the confusion matrix is all tied."""
+    kp, kt = draw(st.integers(1, 11)), draw(st.integers(1, 11))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        repeat = draw(st.integers(1, 3))
+        pred, truth = np.divmod(np.repeat(np.arange(kp * kt), repeat), kt)
+        order = rng.permutation(pred.size)
+        pred, truth = pred[order], truth[order]
+    else:
+        n = draw(st.integers(1, 60))
+        pred, truth = rng.integers(0, kp, n), rng.integers(0, kt, n)
+    # label ids that are neither 0-based nor contiguous
+    return 3 * pred + 7, 5 * truth - 2
+
+
+def optimal_matches(pred, truth):
+    """The most points any one-to-one label matching keeps, by scipy.optimize."""
+    _, p = np.unique(pred, return_inverse=True)
+    _, t = np.unique(truth, return_inverse=True)
+    confusion = np.zeros((p.max() + 1, t.max() + 1), dtype=int)
+    np.add.at(confusion, (p, t), 1)
+    rows, cols = linear_sum_assignment(confusion, maximize=True)
+    return int(confusion[rows, cols].sum())
+
+
+class TestMatching:
+    @settings(max_examples=200, deadline=None)
+    @given(labelings())
+    def test_mapping_is_a_maximum_matching(self, pair):
+        # an injective map of min(kp, kt) labels that keeps as many points
+        # as linear_sum_assignment does, and the error rate they give
+        pred, truth = pair
+        error, mapping = metrics.align_clusters(pred, truth)
+        p_ids, t_ids = set(pred.tolist()), set(truth.tolist())
+        assert len(mapping) == min(len(p_ids), len(t_ids))
+        assert set(mapping) <= p_ids and set(mapping.values()) <= t_ids
+        assert len(set(mapping.values())) == len(mapping)  # injective
+        kept = sum(mapping.get(a) == b for a, b in zip(pred.tolist(), truth.tolist()))
+        assert kept == optimal_matches(pred, truth)
+        assert error == 1.0 - kept / pred.size
+
+    @pytest.mark.parametrize("module", ["lsrseg", "lsrseg.cli"])
+    def test_import_leaves_scipy_optimize_unloaded(self, module):
+        # a one-shot lsrseg process should not pay for scipy.optimize's import
+        src = str(Path(metrics.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (f"import sys, {module}\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestBlockDiagViolation:

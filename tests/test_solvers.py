@@ -652,6 +652,41 @@ class TestEquivalenceProperties:
         assert np.linalg.norm(z_small) >= np.linalg.norm(z_big) - 1e-12
 
 
+def permuted_gap(solve, x, seed):
+    """max |Z(XP) - P^T Z(X) P| / max |Z(X)| for a seeded column permutation P."""
+    perm = np.random.default_rng(seed).permutation(x.shape[1])
+    z = solve(x).z
+    return np.max(np.abs(solve(x[:, perm]).z - z[np.ix_(perm, perm)])) / np.max(np.abs(z))
+
+
+class TestPermutationEquivariance:
+    # the permutation condition of the EBD theorem: permuting X's columns
+    # by P turns every solver's Z into P^T Z P
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), wide=st.booleans(), log_lam=st.floats(-3.0, 1.0),
+           solver=st.sampled_from([solvers.lsr1, solvers.lsr2]))
+    def test_ridge_solvers(self, seed, wide, log_lam, solver):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        d = int(rng.integers(n, 60)) if wide else int(rng.integers(1, n))
+        x = rng.standard_normal((d, n))
+        lam = 10.0**log_lam
+        # the two solves round apart by up to ~5 eps cond(X^T X + lam*I) of
+        # max |Z| (1.3e-12 at d = n - 1 and lam = 3e-3, where lsr1 divides
+        # by 1 - x_i^T y_i ~ 8e-4), so the bound grows past 1e-12 with it
+        cond = np.linalg.cond(x.T @ x + lam * np.eye(n))
+        bound = max(1e-12, 32 * np.finfo(float).eps * cond)
+        assert permuted_gap(lambda a: solver(a, lam), x, seed) <= bound
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_constrained_on_an_independent_union(self, seed):
+        spec = datagen.SubspaceSpec(ambient_dim=12, subspace_dims=(2, 3, 2),
+                                    samples_per_subspace=(6, 8, 5), seed=seed)
+        data, _ = datagen.generate(spec)
+        assert permuted_gap(solvers.lsr_constrained, data.x, seed) <= 1e-12
+
+
 class TestBlockDiagonalStructure:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
