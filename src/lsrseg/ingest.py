@@ -3,10 +3,12 @@
 The single interchange format is CSV with one row per ambient dimension and
 one column per sample, optionally followed by a ``#labels`` row carrying
 integer ground-truth labels. Values are written with 17 significant digits
-so write/read round trips are bit-exact. A file is parsed in one
-``np.loadtxt`` call, and only when that fails, or finds a non-finite value
-or a bad label row, cell by cell with ``float()``, which decides the result
-and names the line and column of any error.
+so write/read round trips are bit-exact. Both ways stream: ``write_csv``
+formats and writes one row at a time, and ``load_csv`` feeds the file's
+lines into one ``np.loadtxt`` call, so neither holds the file's text. Only
+when that fails, or finds a non-finite value or a bad label row, is the
+file read whole and parsed cell by cell with ``float()``, which decides the
+result and names the line and column of any error.
 
 ``pca_project`` takes the top left singular vectors from ``eigh`` of the
 smaller Gram matrix, or from a thin SVD when the kept spectrum is too
@@ -18,8 +20,10 @@ and LAPACK, as the rest of an ``lsr1``/``lsr2`` ``segment`` run does (see
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -60,13 +64,16 @@ class DimensionError(ValueError):
     """Requested projection dimension is out of range."""
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a same-directory temp file and rename."""
+def atomic_write_text(path, text: str | Iterable[str]) -> None:
+    """Write `text`, one str or an iterable of str chunks, via a
+    same-directory temp file and rename."""
+    if isinstance(text, str):
+        text = (text,)
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -75,33 +82,72 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def load_csv(path) -> DataMatrix:
-    """Read a d x n sample matrix (and optional labels) from CSV."""
+    """Read a d x n sample matrix (and optional labels) from CSV.
+
+    The file is streamed line by line into ``_parse_grid``; only when that
+    declines is it read whole for the cell loop, which decides the result.
+    """
     path = Path(path)
-    lines = path.read_text().splitlines()
-    data = _parse_grid(lines)
-    return data if data is not None else _parse_cells(lines, path)
+    with path.open() as handle:
+        data = _parse_grid(handle)
+    return data if data is not None else _parse_cells(path.read_text().splitlines(), path)
 
 
-def _parse_grid(lines: list[str]) -> DataMatrix | None:
-    """The numeric rows in one ``np.loadtxt`` call, or None when the file is
-    anything but a well-formed finite grid with an optional valid final label
-    row: the cell loop then decides, so every error keeps its position."""
-    rows = [line for line in lines if line.strip()]
-    label_row = None
-    if rows and rows[-1].strip().startswith(LABEL_MARKER):
-        label_row = rows.pop()
-    if not rows:  # loadtxt warns on empty input
-        return None
+def _split_lines(lines: Iterable[str]) -> Iterator[str]:
+    """`lines` broken again wherever ``str.splitlines`` breaks them.
+
+    Iterating a file breaks lines only at newlines, while the cell loop's
+    ``splitlines`` also breaks at \\v, \\f, \\x1c-\\x1e, \\x85, U+2028 and
+    U+2029, which ``np.loadtxt`` takes for whitespace inside a row. Most
+    lines hold none of them and pass through uncopied.
+    """
+    for line in lines:
+        if line.isascii() and not any(brk in line for brk in "\x0b\x0c\x1c\x1d\x1e"):
+            yield line
+        else:
+            yield from line.splitlines()
+
+
+def _parse_grid(lines: Iterable[str]) -> DataMatrix | None:
+    """The numeric rows of `lines` (a list, or an open file read as it
+    streams) in one ``np.loadtxt`` call, or None when they are anything but
+    a well-formed finite grid with an optional valid final label row: the
+    cell loop then decides, so every error keeps its position.
+
+    Whitespace-only lines are dropped, since loadtxt rejects them. The first
+    ``#labels`` row ends the numeric rows; any non-blank line after it
+    returns None.
+    """
+    tail: list[str] = []  # the label row, then the first non-blank line after it
+
+    def numeric_rows():
+        for line in _split_lines(lines):
+            if not line or line.isspace():
+                continue
+            if tail or line.lstrip().startswith(LABEL_MARKER):
+                tail.append(line)
+                if len(tail) > 1:
+                    return
+            else:
+                yield line
+
+    rows = numeric_rows()
     try:
+        first = next(rows, None)
+        if first is None:  # loadtxt warns on empty input
+            return None
         # comments=None: a '#' cell must fail here, not drop the rest of its line
-        x = np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-    except ValueError:
+        x = np.loadtxt(
+            itertools.chain((first,), rows),
+            delimiter=",", comments=None, dtype=np.float64, ndmin=2,
+        )
+    except ValueError:  # UnicodeDecodeError too: read_text raises it again
         return None
-    if not np.isfinite(x).all():
+    if len(tail) > 1 or not np.isfinite(x).all():
         return None
     labels = None
-    if label_row is not None:
-        labels = _label_values([c.strip() for c in label_row.strip().split(",")[1:]])
+    if tail:
+        labels = _label_values([c.strip() for c in tail[0].strip().split(",")[1:]])
         if labels is None or labels.shape[0] != x.shape[1]:
             return None
     return DataMatrix(x, labels=labels)
@@ -166,16 +212,17 @@ def _parse_cells(lines: list[str], path: Path) -> DataMatrix:
 
 def write_csv(data, path) -> None:
     """Write a matrix (or DataMatrix, with its labels) to CSV with 17
-    significant digits."""
+    significant digits, one row at a time."""
     if isinstance(data, DataMatrix):
         mat, labels = data.x, data.labels
     else:
         mat, labels = np.asarray(data, dtype=np.float64), None
-    row_format = ",".join(["%.17g"] * mat.shape[1])
-    lines = [row_format % tuple(row) for row in mat.tolist()]
+    row_format = ",".join(["%.17g"] * mat.shape[1]) + "\n"
+    chunks = (row_format % tuple(row.tolist()) for row in mat)
     if labels is not None:
-        lines.append(LABEL_MARKER + "," + ",".join(str(int(v)) for v in labels))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        label_row = LABEL_MARKER + "," + ",".join(str(int(v)) for v in labels) + "\n"
+        chunks = itertools.chain(chunks, (label_row,))
+    atomic_write_text(path, chunks)
 
 
 def unit_columns(data: DataMatrix) -> DataMatrix:

@@ -8,7 +8,7 @@ recorded counterexample that can be serialized and inspected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -76,7 +76,13 @@ class SegmentationReport:
     eigengap: float | None = None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        """The fields as a dict, with the containers copied one level deep:
+        ``asdict`` would deep-copy every predicted label."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.aligned_permutation is not None:
+            d["aligned_permutation"] = dict(self.aligned_permutation)
+        d["wall_times"] = dict(self.wall_times)
+        d["predicted_labels"] = list(self.predicted_labels)
         d["zero_degree"] = list(self.zero_degree)
         return d
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,9 +123,22 @@ PARITY_INPUTS = {
     "bad_label": "1\n2\n3\n#labels,4,\n",
     "one_cell_labelled": "7\n#labels,4\n",
     "empty": "",
+    "lone_cr_labels": "1,2\r3,4\r#labels,0,1\r",
+    "labels_then_form_feed": "1,2\n#labels,0,1\n\x0c\n",
 }
+# Breaks of str.splitlines that iterating a file does not break at, and that
+# np.loadtxt reads as whitespace: the streamed parse must split at them too.
+SPLITLINES_BREAKS = {"vt": "\x0b", "ff": "\x0c", "fs": "\x1c", "nel": "\x85",
+                     "line_sep": "\u2028"}
+for _key, _brk in SPLITLINES_BREAKS.items():
+    PARITY_INPUTS[f"{_key}_before_comma"] = f"1{_brk},2\n3,4\n"
+    PARITY_INPUTS[f"{_key}_as_line_end"] = f"1,2{_brk}3,4\n"
+    PARITY_INPUTS[f"{_key}_at_line_end"] = f"1,2{_brk}\n3,4\n"
+    PARITY_INPUTS[f"{_key}_in_label_row"] = f"1,2\n#labels,0{_brk},1\n"
 GRID_INPUTS = {"padded", "tab", "whitespace_lines", "crlf", "one_row", "one_column",
-               "one_cell_labelled"}
+               "one_cell_labelled", "lone_cr_labels", "labels_then_form_feed"}
+GRID_INPUTS |= {f"{key}_{where}" for key in SPLITLINES_BREAKS
+                for where in ("as_line_end", "at_line_end")}
 
 
 @pytest.mark.parametrize("name", sorted(PARITY_INPUTS))
@@ -138,6 +152,11 @@ def test_fast_path_matches_cell_loop(name, tmp_path):
     assert (fast is not None) == (name in GRID_INPUTS)
     if fast is not None:
         assert same_outcome(fast, expected)
+    with path.open() as handle:
+        streamed = ingest._parse_grid(handle)
+    assert (streamed is not None) == (fast is not None)
+    if streamed is not None:
+        assert same_outcome(streamed, expected)
 
 
 class TestWriteCsv:
@@ -181,6 +200,82 @@ class TestWriteCsv:
         ingest.write_csv(DataMatrix(x, labels=[0, 1, 1, 2]), path)
         expected = [",".join(format(v, ".17g") for v in row) for row in x] + ["#labels,0,1,1,2"]
         assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+    @staticmethod
+    def joined_bytes(data):
+        """The file write_csv wrote when it joined every row in memory."""
+        if isinstance(data, DataMatrix):
+            mat, labels = data.x, data.labels
+        else:
+            mat, labels = np.asarray(data, dtype=np.float64), None
+        row_format = ",".join(["%.17g"] * mat.shape[1])
+        lines = [row_format % tuple(row) for row in mat.tolist()]
+        if labels is not None:
+            lines.append(ingest.LABEL_MARKER + "," + ",".join(str(int(v)) for v in labels))
+        return ("\n".join(lines) + "\n").encode()
+
+    EXTREMES = np.array([[-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]])
+    GRID = np.arange(24.0).reshape(4, 6) / 7.0 - 1.5
+
+    @pytest.mark.parametrize("case", [
+        "extremes", "extremes_labelled", "one_row", "one_row_labelled", "one_column",
+        "one_column_labelled", "fortran", "strided", "strided_labelled",
+    ])
+    def test_bytes_match_joined_format(self, case, tmp_path):
+        data = {
+            "extremes": self.EXTREMES,
+            "extremes_labelled": DataMatrix(self.EXTREMES, labels=[0, -1, 2, 3]),
+            "one_row": self.GRID[:1],
+            "one_row_labelled": DataMatrix(self.GRID[:1], labels=[5, 4, 3, 2, 1, 0]),
+            "one_column": self.GRID[:, :1],
+            "one_column_labelled": DataMatrix(self.GRID[:, :1], labels=[7]),
+            "fortran": np.asfortranarray(self.GRID),
+            "strided": self.GRID[::2, ::3],
+            "strided_labelled": DataMatrix(self.GRID[::-1, 1::2], labels=[0, 1, 0]),
+        }[case]
+        path = tmp_path / "x.csv"
+        ingest.write_csv(data, path)
+        assert path.read_bytes() == self.joined_bytes(data)
+
+
+class TestPeakMemory:
+    """Bytes held at once by a CSV write or read, traced by tracemalloc.
+
+    write_csv formats and writes one row at a time, so its peak is a few
+    rows' text and float objects (5.0 rows here; 900 when it joined the
+    whole file in memory). load_csv streams the file's lines into one
+    np.loadtxt, so it holds the parsed array and loadtxt's growth slack
+    (1.15 here; 5.1 with the whole text and its line list).
+    """
+
+    ROWS, COLS = 300, 400
+
+    @staticmethod
+    def traced_peak(func, *args):
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            func(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - start
+
+    @pytest.fixture(scope="class")
+    def labelled(self):
+        x = np.random.default_rng(0).standard_normal((self.ROWS, self.COLS))
+        return DataMatrix(x, labels=np.arange(self.COLS) % 5)
+
+    def test_write_holds_a_few_rows(self, labelled, tmp_path):
+        path = tmp_path / "x.csv"
+        peak = self.traced_peak(ingest.write_csv, labelled, path)
+        row_text = len(path.read_text().splitlines()[0])
+        assert peak <= 10 * row_text
+
+    def test_load_holds_about_the_array(self, labelled, tmp_path):
+        path = tmp_path / "x.csv"
+        ingest.write_csv(labelled, path)
+        assert self.traced_peak(ingest.load_csv, path) <= 1.5 * labelled.x.nbytes
 
 
 def write_json(path, payload):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -701,6 +702,32 @@ class TestReportSerialization:
         assert payload["error_rate"] == 0.05
         # whether truth was available is stated once, by error_rate
         assert "truth_available" not in payload
+
+    @pytest.mark.parametrize("truth", [True, False])
+    def test_to_dict_matches_asdict(self, truth):
+        report = metrics.SegmentationReport(
+            error_rate=0.25 if truth else None,
+            aligned_permutation={0: 1, 1: 0} if truth else None,
+            block_diag_violation=0.125,
+            wall_times={"solve": 0.5, "total": 1.0},
+            n_samples=6,
+            n_clusters=2,
+            predicted_labels=[0, 0, 1, 1, 0, 1],
+            zero_degree=(3, 4),
+            kmeans_objective=2.5,
+            lloyd_iterations=3,
+            lloyd_converged=True,
+            eigengap=0.75,
+        )
+        expected = dataclasses.asdict(report)
+        expected["zero_degree"] = list(report.zero_degree)
+        d = report.to_dict()
+        assert json.dumps(d, indent=2) == json.dumps(expected, indent=2)
+        d["predicted_labels"].append(2)
+        d["wall_times"]["solve"] = 0.0
+        if truth:
+            d["aligned_permutation"][0] = 0
+        assert report.to_dict() == expected
 
 
 class TestClaimSuites:
