@@ -15,7 +15,7 @@ timings. Option resolution order is: explicit flag, --config file, preset,
 builtin default.
 ``check`` runs the claim suites of ``metrics`` at their fixed tolerances,
 the same functions the acceptance tests call.
-Exit codes: 0 ok, 1 I/O, 2 configuration, 3 numeric failure, 4 check failed.
+Exit codes: 0 ok, 1 I/O or bad input, 2 configuration, 3 numeric failure, 4 check failed.
 """
 
 from __future__ import annotations
@@ -408,21 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NUMERIC_ERRORS = (
-    linalg.DimensionMismatch,
-    linalg.NonFiniteMatrix,
-    linalg.NotPositiveDefinite,
-    linalg.ConvergenceFailure,
-    solvers.NonPositiveLambda,
-    solvers.InfeasibleColumn,
-    solvers.LambdaTooSmall,
-    ingest.DimensionError,
-    metrics.LengthMismatch,
-    metrics.UnnormalizedColumn,
-    np.linalg.LinAlgError,  # a ValueError, but a LAPACK failure, e.g. an unconverged SVD
-)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -435,10 +420,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"lsrseg: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except _NUMERIC_ERRORS as exc:
+    # LinAlgError is numpy's and scipy's LAPACK failure, e.g. an unconverged SVD
+    except (linalg.NumericError, np.linalg.LinAlgError) as exc:
         print(f"lsrseg: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, datagen.SpecInfeasible, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, datagen.SpecInfeasible, any other bad value
         print(f"lsrseg: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

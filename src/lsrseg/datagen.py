@@ -166,7 +166,8 @@ def generate(spec: SubspaceSpec, coefficients=None) -> tuple[DataMatrix, BasisSe
     if coefficients is not None and len(coefficients) != spec.n_subspaces:
         raise ValueError("one coefficient block per subspace is required")
 
-    columns, labels = [], []
+    x = np.empty((spec.ambient_dim, spec.n_samples))
+    start = 0
     for i, (di, ni) in enumerate(zip(spec.subspace_dims, spec.samples_per_subspace)):
         if coefficients is not None:
             coeff = np.asarray(coefficients[i], dtype=np.float64)
@@ -179,17 +180,27 @@ def generate(spec: SubspaceSpec, coefficients=None) -> tuple[DataMatrix, BasisSe
             if spec.correlation:
                 shared = rng.standard_normal((di, 1))
                 coeff = spec.correlation * shared + (1.0 - spec.correlation) * coeff
-        columns.append(bases[i] @ coeff)
-        labels.extend([i] * ni)
+        x[:, start : start + ni] = bases[i] @ coeff
+        start += ni
 
-    x = np.hstack(columns)
+    # Noise and normalization work on pieces of about `step` elements, so no
+    # temporary is the size of x.
+    step = 1 << 16
     if spec.noise_sigma > 0:
-        x = x + spec.noise_sigma * rng.standard_normal(x.shape)
+        flat = x.reshape(-1)
+        for a in range(0, flat.size, step):  # the draws of one standard_normal(x.shape)
+            chunk = flat[a : a + step]
+            chunk += spec.noise_sigma * rng.standard_normal(chunk.size)
     if spec.normalize_columns:
-        norms = np.linalg.norm(x, axis=0)
-        x = x / np.where(norms > 0, norms, 1.0)
+        # never a one-column block: numpy sums a lone column pairwise, not
+        # row by row as it sums a wider block, so its norm could differ
+        blocks = max(1, min(x.shape[1] // 2, x.size // step))
+        for block in np.array_split(x, blocks, axis=1):
+            norms = np.linalg.norm(block, axis=0)
+            block /= np.where(norms > 0, norms, 1.0)
 
-    return DataMatrix(x, labels=np.asarray(labels)), BasisSet(bases)
+    labels = np.repeat(np.arange(spec.n_subspaces), spec.samples_per_subspace)
+    return DataMatrix(x, labels=labels), BasisSet(bases)
 
 
 def is_independent(bases: BasisSet) -> bool:

@@ -60,7 +60,7 @@ class NonFiniteEntry(ParseError):
     """A parsed value is NaN or infinite."""
 
 
-class DimensionError(ValueError):
+class DimensionError(linalg.NumericError):
     """Requested projection dimension is out of range."""
 
 
@@ -86,11 +86,19 @@ def load_csv(path) -> DataMatrix:
 
     The file is streamed line by line into ``_parse_grid``; only when that
     declines is it read whole for the cell loop, which decides the result.
+    Bytes that do not decode raise a ``ParseError`` at their line.
     """
     path = Path(path)
     with path.open() as handle:
         data = _parse_grid(handle)
-    return data if data is not None else _parse_cells(path.read_text().splitlines(), path)
+    if data is not None:
+        return data
+    try:
+        return _parse_cells(path.read_text().splitlines(), path)
+    except UnicodeDecodeError as exc:  # the bad byte's line, as splitlines counts
+        before = exc.object[: exc.start].decode(exc.encoding, errors="replace")
+        byte, line = exc.object[exc.start], len((before + "?").splitlines())
+        raise ParseError(f"cannot decode byte 0x{byte:02x} as {exc.encoding}", line=line) from None
 
 
 def _split_lines(lines: Iterable[str]) -> Iterator[str]:
@@ -141,7 +149,7 @@ def _parse_grid(lines: Iterable[str]) -> DataMatrix | None:
             itertools.chain((first,), rows),
             delimiter=",", comments=None, dtype=np.float64, ndmin=2,
         )
-    except ValueError:  # UnicodeDecodeError too: read_text raises it again
+    except ValueError:  # UnicodeDecodeError too: load_csv reports its line
         return None
     if len(tail) > 1 or not np.isfinite(x).all():
         return None

@@ -10,6 +10,13 @@ unchecked. The rank helpers still check theirs, since the criteria in
 ``metrics`` pass them whatever matrix their own caller gave. Factorizations
 are delegated to LAPACK, and partial symmetric eigensolves to ARPACK.
 
+``NumericError``, a ``ValueError``, is the one base of the package's numeric
+failures: the four below (``ConvergenceFailure`` is a ``RuntimeError`` too),
+``solvers``' ``NonPositiveLambda``, ``InfeasibleColumn`` and
+``LambdaTooSmall``, ``ingest.DimensionError``, and ``metrics``'
+``LengthMismatch`` and ``UnnormalizedColumn``. The CLI exits 3 on any of its
+subclasses, and on numpy's and scipy's ``LinAlgError``.
+
 One BLAS per run. numpy and scipy link separate OpenBLAS libraries, each
 with its own thread pool, and the idle threads of one pool spin against the
 other's on a small machine. ARPACK and ``solve_spd``'s Cholesky (scipy's
@@ -53,19 +60,23 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 SV_CUTOFF = 1e-10
 
 
-class DimensionMismatch(ValueError):
+class NumericError(ValueError):
+    """A numeric failure: the one base of the errors the CLI exits 3 on."""
+
+
+class DimensionMismatch(NumericError):
     """Operand shapes are incompatible."""
 
 
-class NonFiniteMatrix(ValueError):
+class NonFiniteMatrix(NumericError):
     """A matrix holds NaN or infinite entries."""
 
 
-class NotPositiveDefinite(ValueError):
+class NotPositiveDefinite(NumericError):
     """Cholesky factorization failed: matrix is not positive-definite."""
 
 
-class ConvergenceFailure(RuntimeError):
+class ConvergenceFailure(NumericError, RuntimeError):
     """The eigensolver did not converge within its iteration cap."""
 
 

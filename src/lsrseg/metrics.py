@@ -32,11 +32,11 @@ PAIR_BLOCK_ELEMENTS = 2**14
 VIOLATION_BLOCK_ROWS = 64
 
 
-class LengthMismatch(ValueError):
+class LengthMismatch(linalg.NumericError):
     """Predicted and ground-truth labelings have different lengths."""
 
 
-class UnnormalizedColumn(ValueError):
+class UnnormalizedColumn(linalg.NumericError):
     """A column expected to have unit l2 norm does not."""
 
     def __init__(self, index: int, norm: float):

@@ -53,11 +53,11 @@ THIN_PROJECTOR_MIN_DIAG = 0.5
 ROUNDING_MARGIN = 1e6
 
 
-class NonPositiveLambda(ValueError):
+class NonPositiveLambda(linalg.NumericError):
     """Regularization weight must be finite and strictly positive."""
 
 
-class InfeasibleColumn(ValueError):
+class InfeasibleColumn(linalg.NumericError):
     """A column is not representable by the allowed dictionary columns."""
 
     def __init__(self, index: int, residual: float):
@@ -68,7 +68,7 @@ class InfeasibleColumn(ValueError):
         )
 
 
-class LambdaTooSmall(ValueError):
+class LambdaTooSmall(linalg.NumericError):
     """Rounding error swamps a ridge divisor lam*P[i, i] (= 1 - x_i^T y_i when d < n)."""
 
     def __init__(self, index: int, divisor: float, rounding: float):

@@ -353,6 +353,34 @@ class TestSegment:
                    "--solver", "lsr1", "--lambda", 1e-3) == cli.EXIT_IO
 
 
+# The ten classes the CLI reports as numeric errors (exit 3), all derived
+# from linalg.NumericError.
+NUMERIC_ERROR_CLASSES = (
+    linalg.DimensionMismatch, linalg.NonFiniteMatrix, linalg.NotPositiveDefinite,
+    linalg.ConvergenceFailure, solvers.NonPositiveLambda, solvers.InfeasibleColumn,
+    solvers.LambdaTooSmall, ingest.DimensionError, metrics.LengthMismatch,
+    metrics.UnnormalizedColumn,
+)
+_ERROR_ARGS = {
+    solvers.InfeasibleColumn: (3, 0.5),
+    solvers.LambdaTooSmall: (3, 1e-17, 1e-16),
+    metrics.UnnormalizedColumn: (3, 2.0),
+}
+# (error raised in the solve, exit code, stderr prefix)
+EXIT_CODE_TABLE = [
+    (cls(*_ERROR_ARGS.get(cls, ("failed",))), cli.EXIT_NUMERIC, "numeric error")
+    for cls in NUMERIC_ERROR_CLASSES
+] + [
+    (np.linalg.LinAlgError("SVD did not converge"), cli.EXIT_NUMERIC, "numeric error"),
+    (ingest.ParseError("bad cell", line=2, col=1), cli.EXIT_IO, "input error"),
+    (ingest.RaggedRows("row has 1 cells, expected 2", line=2), cli.EXIT_IO, "input error"),
+    (ingest.NonFiniteEntry("non-finite value 'nan'", line=1, col=2), cli.EXIT_IO, "input error"),
+    (cli.ConfigError("--k is required"), cli.EXIT_CONFIG, "configuration error"),
+    (datagen.SpecInfeasible("at least one subspace is required"), cli.EXIT_CONFIG,
+     "configuration error"),
+]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("flags, message", [
         ([], "--k is required"), (["--k", 61], "need 1 <= k <= 60, got k=61"),
@@ -384,6 +412,36 @@ class TestExitCodes:
         bad.write_text(f"1,0,1\n0,1,1\n#labels,0,{cell},1\n")
         assert run("segment", "--input", bad, "--solver", "lsr1",
                    "--lambda", 0.1) == cli.EXIT_IO
+
+    @pytest.mark.parametrize("command, flags", [
+        ("segment", ["--k", 1]), ("solve", ["--output", "z.csv"]),
+    ], ids=["segment", "solve"])
+    def test_undecodable_csv_is_io_error(self, command, flags, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.csv").write_bytes(b"1,2\n3,\xff\n")
+        assert run(command, "--input", "bad.csv", *flags) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "input error" in err and "line 2" in err
+
+    @pytest.mark.parametrize("error, code, kind", EXIT_CODE_TABLE,
+                             ids=[type(e).__name__ for e, _, _ in EXIT_CODE_TABLE])
+    def test_exit_code_follows_the_error_class(self, error, code, kind, dataset,
+                                               monkeypatch, capsys):
+        def fail(cfg, data):
+            raise error
+
+        monkeypatch.setattr(cli, "_run_solver", fail)
+        assert run("segment", "--input", dataset, "--solver", "lsr1") == code
+        assert f"lsrseg: {kind}: {error}" in capsys.readouterr().err
+
+    def test_numeric_error_classes(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        assert set(subclasses(linalg.NumericError)) == set(NUMERIC_ERROR_CLASSES)
+        assert issubclass(linalg.ConvergenceFailure, RuntimeError)
 
     def test_bad_lambda_is_config_error(self, dataset, tmp_path):
         assert run("segment", "--input", dataset, "--output", tmp_path / "r.json",

@@ -76,6 +76,21 @@ class TestLoadCsv:
         with pytest.raises(ingest.ParseError):
             ingest.load_csv(path)
 
+    @pytest.mark.parametrize("raw, line", [
+        (b"1,2\n3,\xff\n", 2),
+        (b"\xfe,2\n3,4\n", 1),
+        (b"1,2\r\n\r\n3,4\r\n\xff\n", 4),
+        (b"1,2\x0c3,4\n5,\xe2\x82\n", 3),  # \x0c ends a line for splitlines
+    ], ids=["second_line", "first_byte", "crlf_blank_line", "form_feed_truncated"])
+    def test_undecodable_bytes_name_their_line(self, raw, line, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(raw)
+        with path.open() as handle:
+            assert ingest._parse_grid(handle) is None
+        with pytest.raises(ingest.ParseError) as err:
+            ingest.load_csv(path)
+        assert err.value.line == line and "cannot decode byte" in str(err.value)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             ingest.load_csv(tmp_path / "nope.csv")
