@@ -86,7 +86,7 @@ class RunConfig:
         datagen.INDEPENDENT, "synth", choices=(datagen.INDEPENDENT, datagen.ORTHOGONAL)
     )
     noise_sigma: float = _option(0.0, "synth")
-    correlation: float | None = _option(None, "synth")
+    correlation: float = _option(0.0, "synth")
     trials: int = _option(200, "check", minimum=1)
 
     def __post_init__(self):

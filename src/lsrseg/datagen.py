@@ -37,7 +37,7 @@ class SubspaceSpec:
     samples_per_subspace: tuple[int, ...]
     mode: str = INDEPENDENT
     noise_sigma: float = 0.0
-    correlation: float | None = None
+    correlation: float = 0.0
     seed: int = 0
     normalize_columns: bool = False
 
@@ -61,7 +61,7 @@ class SubspaceSpec:
             )
         if not 0.0 <= self.noise_sigma < np.inf:
             raise SpecInfeasible("noise_sigma must be finite and nonnegative")
-        if self.correlation is not None and not 0.0 <= self.correlation < 1.0:
+        if not 0.0 <= self.correlation < 1.0:
             raise SpecInfeasible("correlation must lie in [0, 1)")
 
     @property
@@ -76,6 +76,21 @@ class SubspaceSpec:
         return asdict(self)
 
 
+def label_array(labels) -> np.ndarray:
+    """`labels` as 1-D int64, not copied when it already is: the one label
+    rule. Each label is a finite integral value that fits in int64 (``2.0``
+    is the label 2); anything else raises ValueError, so nothing is truncated."""
+    arr = np.asarray(labels)
+    kind = arr.dtype.kind
+    if kind == "f":
+        fits = np.all((np.abs(arr) < 2.0**63) & (arr == np.trunc(arr)))
+    else:
+        fits = kind in "bi" or (kind == "u" and not (arr.size and arr.max() >= 2**63))
+    if arr.ndim != 1 or not fits:
+        raise ValueError("labels must be 1-D, of finite integral values that fit in int64")
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass
 class DataMatrix:
     """d x n sample matrix, columns are samples; optional ground-truth labels."""
@@ -86,7 +101,7 @@ class DataMatrix:
     def __post_init__(self):
         self.x = linalg.as_matrix(self.x, name="data matrix")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=int)
+            self.labels = label_array(self.labels)
             if self.labels.shape != (self.x.shape[1],):
                 raise ValueError(
                     f"labels length {self.labels.shape} does not match "

@@ -6,9 +6,10 @@ integer ground-truth labels. Values are written with 17 significant digits
 so write/read round trips are bit-exact. Both ways stream: ``write_csv``
 formats and writes one row at a time, and ``load_csv`` feeds the file's
 lines into one ``np.loadtxt`` call, so neither holds the file's text. Only
-when that fails, or finds a non-finite value or a bad label row, is the
+when that fails, or ``DataMatrix`` refuses its grid or label row, is the
 file read whole and parsed cell by cell with ``float()``, which decides the
-result and names the line and column of any error.
+result and names the line and column of any error. Both paths hold labels
+to ``datagen.label_array``.
 
 ``pca_project`` takes the top left singular vectors from ``eigh`` of the
 smaller Gram matrix, or from a thin SVD when the kept spectrum is too
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .datagen import DataMatrix
+from .datagen import DataMatrix, label_array
 
 LABEL_MARKER = "#labels"
 
@@ -118,8 +119,8 @@ def _split_lines(lines: Iterable[str]) -> Iterator[str]:
 
 def _parse_grid(lines: Iterable[str]) -> DataMatrix | None:
     """The numeric rows of `lines` (a list, or an open file read as it
-    streams) in one ``np.loadtxt`` call, or None when they are anything but
-    a well-formed finite grid with an optional valid final label row: the
+    streams) in one ``np.loadtxt`` call, as a ``DataMatrix`` with the label
+    row's cells, or None when loadtxt or ``DataMatrix`` refuses them: the
     cell loop then decides, so every error keeps its position.
 
     Whitespace-only lines are dropped, since loadtxt rejects them. The first
@@ -149,28 +150,14 @@ def _parse_grid(lines: Iterable[str]) -> DataMatrix | None:
             itertools.chain((first,), rows),
             delimiter=",", comments=None, dtype=np.float64, ndmin=2,
         )
+        if len(tail) > 1:
+            return None
+        labels = None
+        if tail:
+            labels = np.asarray([c.strip() for c in tail[0].split(",")[1:]], dtype=float)
+        return DataMatrix(x, labels=labels)
     except ValueError:  # UnicodeDecodeError too: load_csv reports its line
         return None
-    if len(tail) > 1 or not np.isfinite(x).all():
-        return None
-    labels = None
-    if tail:
-        labels = _label_values([c.strip() for c in tail[0].strip().split(",")[1:]])
-        if labels is None or labels.shape[0] != x.shape[1]:
-            return None
-    return DataMatrix(x, labels=labels)
-
-
-def _label_values(cells: list[str]) -> np.ndarray | None:
-    """The labels after the marker, or None unless every one is a finite
-    integral value that fits in int64."""
-    try:
-        values = np.asarray(cells, dtype=float)
-    except ValueError:
-        return None
-    if not np.all((np.abs(values) < 2.0**63) & (values == np.trunc(values))):
-        return None
-    return values.astype(np.int64)
 
 
 def _parse_cells(lines: list[str], path: Path) -> DataMatrix:
@@ -186,9 +173,10 @@ def _parse_cells(lines: list[str], path: Path) -> DataMatrix:
         if cells[0].startswith(LABEL_MARKER):
             if labels is not None:
                 raise ParseError("duplicate label row", line=lineno)
-            labels = _label_values(cells[1:])
-            if labels is None:
-                raise ParseError("label row contains a non-integer", line=lineno)
+            try:
+                labels = label_array(np.asarray(cells[1:], dtype=float))
+            except ValueError:
+                raise ParseError("label row contains a non-integer", line=lineno) from None
             continue
         if labels is not None:
             raise ParseError("label row must be the final row", line=lineno)

@@ -101,11 +101,7 @@ class GroupingEffectSummary:
 
 
 def _labels_array(labels) -> np.ndarray:
-    labels = getattr(labels, "labels", labels)
-    arr = np.asarray(labels, dtype=int)
-    if arr.ndim != 1:
-        raise ValueError("labels must be 1-D")
-    return arr
+    return datagen.label_array(getattr(labels, "labels", labels))
 
 
 def align_clusters(pred, truth) -> tuple[float, dict[int, int]]:

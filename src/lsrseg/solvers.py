@@ -81,6 +81,14 @@ class LambdaTooSmall(linalg.NumericError):
         )
 
 
+def _square_matrix(z, name: str) -> np.ndarray:
+    """`z` validated by ``linalg.as_matrix`` as `name`, and checked square."""
+    z = linalg.as_matrix(z, name=name)
+    if z.shape[0] != z.shape[1]:
+        raise ValueError(f"coefficient matrix must be square, got {z.shape}")
+    return z
+
+
 @dataclass
 class Coefficients:
     """Solver output: the representation matrix plus how it was produced."""
@@ -90,9 +98,7 @@ class Coefficients:
     variant: str
 
     def __post_init__(self):
-        self.z = linalg.as_matrix(self.z, name="coefficient matrix")
-        if self.z.shape[0] != self.z.shape[1]:
-            raise ValueError(f"coefficient matrix must be square, got {self.z.shape}")
+        self.z = _square_matrix(self.z, "coefficient matrix")
         if not 0 <= self.lam < np.inf:
             raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
         if self.diag_constrained and np.any(np.diag(self.z) != 0.0):
@@ -119,7 +125,7 @@ def coefficient_array(z) -> np.ndarray:
     """Accept Coefficients or a plain array-like; return the n x n array."""
     if isinstance(z, Coefficients):
         return z.z
-    return linalg.as_matrix(z, name="coefficients")
+    return _square_matrix(z, "coefficients")
 
 
 def _check_lambda(lam: float) -> float:

@@ -20,6 +20,7 @@ seed, restarts).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -29,6 +30,7 @@ import scipy.sparse.linalg
 from scipy.linalg.blas import dgemv, dsymv
 
 from . import linalg
+from .datagen import label_array
 from .solvers import Coefficients, coefficient_array
 
 # Side of the square tiles that _symmetrize_in_place pairs up. Two 128 x 128
@@ -89,6 +91,18 @@ class Affinity:
         return self.w.shape[0]
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and value >= 1
+
+
+def _check_counts(k, n: int, restarts) -> None:
+    """Raise ValueError unless k is an integer in [1, n] and restarts one >= 1."""
+    if not (_is_count(k) and k <= n):
+        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
+    if not _is_count(restarts):
+        raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
+
+
 @dataclass
 class Labeling:
     """Cluster assignment for n points, indices in [0, k).
@@ -120,11 +134,9 @@ class Labeling:
     eigengap: float | None = None
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=int)
-        if self.labels.ndim != 1:
-            raise ValueError("labels must be 1-D")
-        if self.k < 1:
-            raise ValueError("cluster count must be >= 1")
+        self.labels = label_array(self.labels)
+        if not _is_count(self.k):
+            raise ValueError(f"cluster count must be an integer >= 1, got {self.k!r}")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.k):
             raise ValueError("label indices must lie in [0, k)")
 
@@ -265,15 +277,15 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 20) -> Labeling:
 
     The winner is chosen by (objective, restart index), so identical seeds
     give bit-identical labels. The Labeling carries the winner's objective,
-    Lloyd iteration count and whether Lloyd converged. Non-finite points
-    raise NonFiniteMatrix before any restart.
+    Lloyd iteration count and whether Lloyd converged. A k or restarts that
+    is not an integer in range raises ValueError, and non-finite points
+    NonFiniteMatrix, before any restart.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, np.newaxis]
     n = pts.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
+    _check_counts(k, n, restarts)
     bad = np.nonzero(~np.isfinite(pts).all(axis=1))[0]
     if bad.size:
         shown = ", ".join(str(i) for i in bad[:10]) + (", ..." if bad.size > 10 else "")
@@ -281,7 +293,7 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 20) -> Labeling:
             f"k-means points must be finite; non-finite rows: {shown} ({bad.size} of {n})"
         )
     best = None
-    for restart in range(max(1, restarts)):
+    for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
         run = _lloyd(pts, _kmeans_pp_init(pts, k, rng))
         if best is None or run.objective < best.objective:
@@ -369,8 +381,8 @@ def normalized_cuts(w, k: int, seed: int = 0, restarts: int = 20) -> Labeling:
     Parameters
     ----------
     w : Affinity or symmetric nonnegative array
-    k : number of clusters, 1 <= k <= n
-    seed, restarts : k-means seeding configuration
+    k : number of clusters, an integer with 1 <= k <= n
+    seed, restarts : k-means seeding configuration, restarts an integer >= 1
 
     The embedding uses the k bottom eigenpairs of the Laplacian, and the
     ``eigen_tie`` gap check the (k+1)-th eigenvalue. Below the dense
@@ -392,8 +404,7 @@ def normalized_cuts(w, k: int, seed: int = 0, restarts: int = 20) -> Labeling:
     # place (a W in any other order is copied once)
     mat = np.ascontiguousarray(_affinity_array(w)).T
     n = mat.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
+    _check_counts(k, n, restarts)
 
     # W is nonnegative, so it is all zero exactly when its degrees are
     degrees = dsymv(1.0, mat, np.ones(n))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lsrseg import cli, datagen, linalg, solvers
+from lsrseg import cli, datagen, linalg, metrics, solvers, spectral
 from lsrseg.datagen import BasisSet, DataMatrix, SubspaceSpec
 
 
@@ -59,6 +59,20 @@ class TestSubspaceSpec:
         for path in (out, replay):
             sidecar = json.loads(Path(str(path) + ".spec.json").read_text())
             assert SubspaceSpec(**sidecar["spec"]) == spec
+
+    def test_null_correlation_sidecar_replays(self, tmp_path):
+        # a sidecar written while correlation defaulted to None holds null there
+        out, replay = tmp_path / "d.csv", tmp_path / "e.csv"
+        assert cli.main(["synth", "--output", str(out), "--ambient-dim", "10",
+                         "--dims", "2,2,2", "--samples", "20,20,20", "--seed", "3"]) == cli.EXIT_OK
+        sidecar_path = Path(str(out) + ".spec.json")
+        sidecar = json.loads(sidecar_path.read_text())
+        assert sidecar["config"]["correlation"] == sidecar["spec"]["correlation"] == 0.0
+        sidecar["config"]["correlation"] = sidecar["spec"]["correlation"] = None
+        sidecar_path.write_text(json.dumps(sidecar))
+        assert cli.main(["synth", "--config", str(sidecar_path),
+                         "--output", str(replay)]) == cli.EXIT_OK
+        assert replay.read_bytes() == out.read_bytes()
 
 
 class TestGenerate:
@@ -285,6 +299,54 @@ class TestDataMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             DataMatrix(np.array([[np.nan, 1.0]]))
+
+
+# Every library entry point that takes labels, each fed the labels `v`.
+LABEL_CONSUMERS = {
+    "DataMatrix": lambda v: DataMatrix(np.ones((3, 2)), labels=v),
+    "Labeling": lambda v: spectral.Labeling(v, k=2),
+    "align_clusters_pred": lambda v: metrics.align_clusters(v, [0, 0]),
+    "align_clusters_truth": lambda v: metrics.align_clusters([0, 0], v),
+    "segmentation_error": lambda v: metrics.segmentation_error([0, 0], v),
+    "block_diag_violation": lambda v: metrics.block_diag_violation(np.ones((2, 2)), v),
+}
+BAD_LABELS = {
+    "non_integral": [0.5, 1],
+    "inf": [np.inf, 0],
+    "nan": [np.nan, 0],
+    "two_to_63": [2**63, 0],
+    "1e19": [1e19, 0],
+    "uint64_max": np.array([2**64 - 1, 0], dtype=np.uint64),
+    "two_d": [[0, 1], [1, 0]],
+}
+GOOD_LABELS = {
+    "integral_floats": [2.0, 3.0],
+    "bools": [True, False],
+    "uint64_in_range": np.array([5, 0], dtype=np.uint64),
+    "empty": [],
+}
+
+
+class TestLabelArray:
+    @pytest.mark.parametrize("consumer", sorted(LABEL_CONSUMERS))
+    @pytest.mark.parametrize("case", sorted(BAD_LABELS))
+    def test_bad_labels_raise(self, case, consumer):
+        # non-integral and out-of-range labels used to be truncated or wrapped,
+        # and inf raised OverflowError
+        with pytest.raises(ValueError):
+            LABEL_CONSUMERS[consumer](BAD_LABELS[case])
+
+    @pytest.mark.parametrize("case", sorted(GOOD_LABELS))
+    def test_good_labels_convert(self, case):
+        v = GOOD_LABELS[case]
+        labels = datagen.label_array(v)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, np.asarray(v).astype(np.int64))
+
+    def test_int64_is_not_copied(self):
+        labels = np.arange(4, dtype=np.int64)
+        assert datagen.label_array(labels) is labels
+        assert DataMatrix(np.ones((2, 4)), labels=labels).labels is labels
 
 
 class TestBasisDictionary:

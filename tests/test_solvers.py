@@ -742,6 +742,10 @@ class TestCoefficients:
         assert solvers.coefficient_array(coeffs) is coeffs.z
         assert solvers.coefficient_array([[0.5, 0.0], [0.0, 0.5]]).dtype == np.float64
 
+    def test_coefficient_array_rejects_non_square(self):
+        with pytest.raises(ValueError, match="coefficient matrix must be square, got"):
+            solvers.coefficient_array(np.ones((2, 3)))
+
     def test_coefficient_array_rejects_non_finite(self):
         with pytest.raises(linalg.NonFiniteMatrix, match="coefficients"):
             solvers.coefficient_array([[0.0, np.nan], [1.0, 0.0]])

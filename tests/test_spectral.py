@@ -31,6 +31,11 @@ class TestAffinity:
     def test_zero_coefficients(self):
         assert not spectral.build_affinity(np.zeros((3, 3))).w.any()
 
+    def test_non_square_coefficients(self):
+        # used to fail on numpy's broadcast inside _symmetrize_in_place
+        with pytest.raises(ValueError, match="coefficient matrix must be square"):
+            spectral.build_affinity(np.ones((3, 4)))
+
     def test_two_lines_constrained_affinity_is_block_diagonal(self):
         x = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 2.0]])
         w = spectral.build_affinity(solvers.lsr_constrained(x)).w
@@ -98,6 +103,18 @@ class TestKmeans:
     def test_k_bounds(self):
         with pytest.raises(ValueError):
             spectral.kmeans(np.zeros((3, 2)), 4)
+
+    @pytest.mark.parametrize("restarts", [0, -3, 2.5])
+    def test_restarts_must_be_a_positive_integer(self, restarts):
+        # 0 and -3 used to run one restart
+        with pytest.raises(ValueError, match="restarts"):
+            spectral.kmeans(np.arange(5.0), 2, restarts=restarts)
+        with pytest.raises(ValueError, match="restarts"):
+            spectral.normalized_cuts(block_affinity([2, 3])[0], 2, restarts=restarts)
+
+    def test_non_integral_k(self):
+        with pytest.raises(ValueError, match="k=2.5"):
+            spectral.kmeans(np.arange(5.0), 2.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected_before_any_restart(self, monkeypatch, bad):
@@ -678,3 +695,7 @@ class TestLabeling:
     def test_k_validation(self):
         with pytest.raises(ValueError, match=">= 1"):
             spectral.Labeling(np.array([0]), k=0)
+
+    def test_non_integral_k(self):
+        with pytest.raises(ValueError, match="integer"):
+            spectral.Labeling(np.array([0, 1]), k=2.5)
