@@ -288,7 +288,8 @@ def run_segmentation(cfg: RunConfig) -> metrics.SegmentationReport:
     """The segment pipeline: load, preprocess, solve, cluster, score.
 
     W is built over the solver's Z, which is not read again: the run holds
-    one n x n array after the solve, and the violation is scored on W.
+    one n x n array after the solve, and the violation is scored on W. The
+    report holds the ``Labeling`` that ``normalized_cuts`` returns as it is.
     """
     times: dict[str, float] = {}
     data = _prepared_input(cfg, times)
@@ -321,22 +322,7 @@ def run_segmentation(cfg: RunConfig) -> metrics.SegmentationReport:
     )
     times["metrics"] = time.perf_counter() - t0
 
-    return metrics.SegmentationReport(
-        error_rate=error_rate,
-        aligned_permutation=mapping,
-        block_diag_violation=violation,
-        wall_times=times,
-        n_samples=data.n_samples,
-        n_clusters=k,
-        predicted_labels=[int(v) for v in labeling.labels],
-        degenerate_affinity=labeling.degenerate,
-        eigen_tie=labeling.eigen_tie,
-        zero_degree=labeling.zero_degree,
-        kmeans_objective=labeling.kmeans_objective,
-        lloyd_iterations=labeling.lloyd_iterations,
-        lloyd_converged=labeling.lloyd_converged,
-        eigengap=labeling.eigengap,
-    )
+    return metrics.SegmentationReport(labeling, error_rate, mapping, violation, times)
 
 
 def cmd_segment(cfg: RunConfig) -> int:
@@ -347,7 +333,7 @@ def cmd_segment(cfg: RunConfig) -> int:
         _write_json(cfg.output, payload)
     err = "n/a" if report.error_rate is None else f"{report.error_rate:.4f}"
     print(
-        f"segment: n={report.n_samples} k={report.n_clusters} error={err} "
+        f"segment: n={report.labeling.n} k={report.labeling.k} error={err} "
         f"block_diag_violation={report.block_diag_violation:.3e}"
     )
     return EXIT_OK

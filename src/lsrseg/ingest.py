@@ -222,8 +222,11 @@ def write_csv(data, path) -> None:
 
 
 def unit_columns(data: DataMatrix) -> DataMatrix:
-    """Rescale each column to unit l2 norm (zero columns are left alone)."""
-    norms = np.linalg.norm(data.x, axis=0)
+    """Rescale each column to unit l2 norm (zero columns are left alone).
+
+    The norms are ``linalg.column_norms``, so a column of huge or tiny
+    entries is scaled to unit length too, not zeroed or left as it was."""
+    norms = linalg.column_norms(data.x)
     x = data.x / np.where(norms > 0, norms, 1.0)
     return DataMatrix(x, labels=data.labels)
 

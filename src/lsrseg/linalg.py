@@ -40,11 +40,12 @@ whatever its solver, goes there too:
 
 The numpy calls left in such a run are element-wise, or level-1 products
 and norms of single vectors and of the d x d system, which numpy's OpenBLAS
-runs on the calling thread up to 10 000 entries. numpy's BLAS still serves
-``lsr_constrained``'s ``pseudo_inverse`` refits of the columns its closed
-form does not fit (none on data it fits), ``pca_project``'s rare thin-SVD
-fallback, the check suites' products and SVDs of small matrices, and
-``datagen``, which runs only at set-up.
+runs on the calling thread up to 10 000 entries, or the ``einsum`` sums of
+squares of ``column_norms`` (each column's l2 norm at any scale), which use
+no BLAS. numpy's BLAS still serves ``lsr_constrained``'s ``pseudo_inverse``
+refits of the columns its closed form does not fit (none on data it fits),
+``pca_project``'s rare thin-SVD fallback, the check suites' products and
+SVDs of small matrices, and ``datagen``, which runs only at set-up.
 """
 
 from __future__ import annotations
@@ -58,6 +59,11 @@ from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 SV_CUTOFF = 1e-10
+# column_norms takes a norm outside [NORM_MIN, NORM_MAX] again from the
+# column scaled by a power of two: inside it, no square of an entry that
+# matters has overflowed or underflowed.
+NORM_MIN = 2.0**-500
+NORM_MAX = 2.0**500
 
 
 class NumericError(ValueError):
@@ -109,6 +115,25 @@ def _nonempty_finite(m: np.ndarray, name: str) -> np.ndarray:
     if not np.isfinite(total) and not np.isfinite(m).all():
         raise NonFiniteMatrix(f"{name} contains non-finite entries")
     return m
+
+
+def column_norms(a: np.ndarray) -> np.ndarray:
+    """The l2 norm of each column of the nonempty 2-D `a`, at any scale.
+
+    The sums of squares come from ``einsum``, with no d x n temporary; for a
+    C-ordered `a` of two or more columns that is bit for bit
+    ``np.linalg.norm(a, axis=0)``. Where Σx² has overflowed or underflowed,
+    so the norm falls outside [NORM_MIN, NORM_MAX], the column is scaled
+    first by the power of two that puts its largest entry in [0.5, 1): exact,
+    so only the norm's own rounding is left. Such columns are taken one at a
+    time, so no temporary exceeds one column. A zero column has norm 0.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->j", a, a))
+    for j in np.nonzero(~((norms >= NORM_MIN) & (norms <= NORM_MAX)))[0]:
+        _, exponent = np.frexp(np.abs(a[:, j]).max())
+        scaled = np.ldexp(a[:, j], -exponent)
+        norms[j] = np.ldexp(np.sqrt(scaled @ scaled), exponent)
+    return norms
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

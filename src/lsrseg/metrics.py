@@ -1,6 +1,8 @@
 """Quantitative verification: segmentation error, block-diagonality,
 enforced-block-diagonal (EBD) condition checks, grouping-effect stats, and
 the four claim suites that ``lsrseg check`` and the acceptance gate run.
+The ``segment`` report, ``SegmentationReport``, holds the run's
+``spectral.Labeling`` beside its score; its ``to_dict`` writes the JSON.
 
 These are numeric witnesses, not proofs: every failed condition is a
 recorded counterexample that can be serialized and inspected.
@@ -8,7 +10,7 @@ recorded counterexample that can be serialized and inspected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -47,44 +49,44 @@ class UnnormalizedColumn(linalg.NumericError):
 
 @dataclass
 class SegmentationReport:
-    """End-to-end segmentation outcome plus per-stage wall times.
+    """End-to-end segmentation outcome: the clustering, its score and the
+    per-stage wall times.
 
     ``block_diag_violation`` is measured on the affinity W = (|Z| + |Z^T|) / 2:
     in exact arithmetic it equals Z's cross-label share of the mass, since
     the mirror of a cross-label pair is one too. Without ground-truth labels,
     ``error_rate`` and ``aligned_permutation`` are None and the violation is
-    scored against the predicted labels. ``eigengap``, ``kmeans_objective``,
-    ``lloyd_iterations`` and ``lloyd_converged`` are as on
-    ``spectral.Labeling``: the Laplacian's lambda_{k+1} - lambda_k (an upper
-    bound on the Lanczos path; None at k = n) and the winning k-means
-    restart's fit, all None after the degenerate fallback.
+    scored against the predicted labels.
     """
 
+    labeling: spectral.Labeling
     error_rate: float | None
     aligned_permutation: dict[int, int] | None
     block_diag_violation: float
     wall_times: dict[str, float] = field(default_factory=dict)
-    n_samples: int = 0
-    n_clusters: int = 0
-    predicted_labels: list[int] = field(default_factory=list)
-    degenerate_affinity: bool = False
-    eigen_tie: bool = False
-    zero_degree: tuple[int, ...] = field(default_factory=tuple)
-    kmeans_objective: float | None = None
-    lloyd_iterations: int | None = None
-    lloyd_converged: bool | None = None
-    eigengap: float | None = None
 
     def to_dict(self) -> dict:
-        """The fields as a dict, with the containers copied one level deep:
-        ``asdict`` would deep-copy every predicted label."""
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        if self.aligned_permutation is not None:
-            d["aligned_permutation"] = dict(self.aligned_permutation)
-        d["wall_times"] = dict(self.wall_times)
-        d["predicted_labels"] = list(self.predicted_labels)
-        d["zero_degree"] = list(self.zero_degree)
-        return d
+        """The ``segment`` JSON report: the score, then the labeling's fields
+        under their report names. Containers are copied, so editing the dict
+        leaves the report as it was."""
+        lab = self.labeling
+        return {
+            "error_rate": self.error_rate,
+            "aligned_permutation": None if self.aligned_permutation is None
+            else dict(self.aligned_permutation),
+            "block_diag_violation": self.block_diag_violation,
+            "wall_times": dict(self.wall_times),
+            "n_samples": lab.n,
+            "n_clusters": lab.k,
+            "predicted_labels": lab.labels.tolist(),
+            "degenerate_affinity": lab.degenerate,
+            "eigen_tie": lab.eigen_tie,
+            "zero_degree": list(lab.zero_degree),
+            "kmeans_objective": lab.kmeans_objective,
+            "lloyd_iterations": lab.lloyd_iterations,
+            "lloyd_converged": lab.lloyd_converged,
+            "eigengap": lab.eigengap,
+        }
 
 
 @dataclass

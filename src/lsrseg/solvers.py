@@ -200,8 +200,11 @@ def lsr_constrained(x) -> Coefficients:
     refit residual still exceeds FEASIBILITY_TOL, which happens under
     insufficient sampling. X = XZ is homogeneous, so the gate and the refits
     read X scaled by the power of two that puts its largest singular value
-    in [0.5, 1): exact in floating point, and no column norm over- or
-    underflows at any data scale.
+    in [0.5, 1), which is exact in floating point. Their norms come from
+    ``linalg.column_norms`` and ``dnrm2``, which neither overflow nor
+    underflow, so a column far smaller than the largest (say 1e-170 beside
+    1) is fit as the same column at unit scale would be, not taken for a
+    zero column.
 
     A zero column i puts e_i in null(X), so row and column i of Z are zero in
     exact arithmetic; they are set to exact zeros, as ``lsr1`` gives them.
@@ -211,9 +214,9 @@ def lsr_constrained(x) -> Coefficients:
     q, s = _null_projector(mat)
     z = _zero_diag_rescale(q, -np.diag(q))
     mat = np.ldexp(mat, -np.frexp(s[0])[1])
-    norms = np.linalg.norm(mat, axis=0)
+    norms = linalg.column_norms(mat)
     with np.errstate(divide="ignore", invalid="ignore"):
-        residuals = np.linalg.norm(linalg.matmul(mat, z) - mat, axis=0) / norms
+        residuals = linalg.column_norms(linalg.matmul(mat, z) - mat) / norms
     for i in np.nonzero((norms > 0) & ~(residuals <= FEASIBILITY_TOL))[0]:
         xi = mat[:, i]
         keep = np.arange(n) != i
@@ -221,8 +224,7 @@ def lsr_constrained(x) -> Coefficients:
         zi = np.zeros(0)  # a lone column has an empty dictionary
         if dictionary.shape[1]:
             zi = linalg.pseudo_inverse(dictionary) @ xi
-        residual = float(np.linalg.norm(dictionary @ zi - xi))
-        residual /= float(np.linalg.norm(xi))
+        residual = dnrm2(dictionary @ zi - xi) / dnrm2(xi)
         if residual > FEASIBILITY_TOL:
             raise InfeasibleColumn(int(i), residual)
         z[keep, i] = zi
@@ -245,9 +247,11 @@ def _check_divisors(divisors: np.ndarray, system: np.ndarray, columns: np.ndarra
                     scale: float = 1.0) -> None:
     """Raise LambdaTooSmall for the first divisor within ROUNDING_MARGIN times
     its rounding error, scale * eps * ||system||_F * ||columns[:, i]||^2: to
-    first order, solving with `system` perturbs divisor i by at most that."""
-    rounding = scale * np.finfo(np.float64).eps * dnrm2(system.ravel())
-    rounding = rounding * np.einsum("ij,ij->j", columns, columns)
+    first order, solving with `system` perturbs divisor i by at most that.
+    It is formed as eps * (scale * ||c_i||) * (||system||_F * ||c_i||), so a
+    huge lambda with its tiny columns neither overflows nor underflows."""
+    norms = linalg.column_norms(columns)
+    rounding = np.finfo(np.float64).eps * (scale * norms) * (dnrm2(system.ravel()) * norms)
     unresolved = np.nonzero(~(divisors > ROUNDING_MARGIN * rounding))[0]
     if unresolved.size:
         i = unresolved[0]

@@ -1,13 +1,19 @@
+import contextlib
 import dataclasses
+import io
 import json
 import re
 import shutil
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lsrseg import cli, datagen, ingest, linalg, metrics, solvers, spectral
 from test_solvers import LEVERAGE_ONE_X, near_duplicate_columns, relative_gap, ridge_reference
@@ -674,6 +680,101 @@ class TestTinyLambda:
             err = capsys.readouterr().err
             assert "lambda is too small" in err and "column 0" in err
             assert not out.exists()
+
+
+class TestHugeLambda:
+    """`solve` at lambda = 1e300: the divisor check's rounding bound neither
+    overflows nor calls such a lambda too small. X^T X is lost against lambda
+    in float64, so Z is matched to the 50-digit reference to eps absolute,
+    the rounding of its unit-scale entries."""
+
+    @pytest.mark.parametrize("x", [
+        np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]]),
+        np.array([[1e-300], [5e-324]]),
+    ], ids=["3x2", "tiny_2x1"])
+    @pytest.mark.parametrize("solver", ["lsr1", "lsr2"])
+    def test_solve(self, solver, x, tmp_path, capsys):
+        path, out = tmp_path / "data.csv", tmp_path / "z.csv"
+        ingest.write_csv(x, path)
+        assert run("solve", "--input", path, "--output", out, "--solver", solver,
+                   "--lambda", 1e300) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        reference = dict(zip(("lsr1", "lsr2"), ridge_reference(x, 1e300)))[solver]
+        assert np.max(np.abs(ingest.load_csv(out).x - reference)) <= np.finfo(np.float64).eps
+
+
+# cells of a hostile CSV: extremes of float64 and a few small numbers, then
+# non-finite, unparsable and empty cells
+NUMERIC_CELLS = ["1e300", "-1e300", "5e-324", "1e-170", "0", "1", "-2", "0.5", "3"]
+HOSTILE_CELLS = NUMERIC_CELLS + ["nan", "inf", "bad", ""]
+HOSTILE_LAMBDAS = ["1e-300", "1e-3", "1", "1e300"]
+
+
+@st.composite
+def hostile_csv(draw) -> str:
+    """Up to 6 x 8 hostile cells, blank lines among the rows, and an
+    optional label row that is either good or non-integral. Half the grids
+    hold only numbers, so that they reach the solvers."""
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    cell = st.sampled_from(draw(st.sampled_from([NUMERIC_CELLS, HOSTILE_CELLS])))
+    lines = []
+    for _ in range(n_rows):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+        cells = draw(st.lists(cell, min_size=n_cols, max_size=n_cols))
+        lines.append(",".join(cells))
+    label_row = draw(st.sampled_from([None, "good", "bad"]))
+    if label_row == "good":
+        lines.append(",".join(["#labels"] + [str(j % 2) for j in range(n_cols)]))
+    elif label_row == "bad":
+        lines.append("#labels,0,1.5")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def hostile_options(draw) -> list[str]:
+    """A subcommand and its options, --input and --output aside."""
+    command = draw(st.sampled_from(["solve", "segment"]))
+    options = [command, "--solver", draw(st.sampled_from(list(SOLVER_ARGS))),
+               "--lambda", draw(st.sampled_from(HOSTILE_LAMBDAS))]
+    if draw(st.booleans()):
+        options.append("--normalize-columns")
+    if draw(st.booleans()):
+        options += ["--pca-dim", str(draw(st.integers(1, 8)))]
+    if command == "segment":
+        if draw(st.booleans()):
+            options += ["--k", str(draw(st.integers(1, 8)))]
+        if draw(st.booleans()):
+            options += ["--restarts", str(draw(st.integers(1, 3)))]
+    return options
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=hostile_csv(), options=hostile_options())
+# a column of 1e300 overflowed the --normalize-columns norm: a zeroed column
+# and an exit 0 after a RuntimeWarning
+@example(text="1e300,-1\n1,2\n3,0\n", options=["segment", "--normalize-columns", "--k", "1"])
+# lambda = 1e300 overflowed the divisor check's rounding bound
+@example(text="1,2\n3,4\n5,7\n", options=["solve", "--solver", "lsr1", "--lambda", "1e300"])
+def test_hostile_input_exits_with_a_documented_code(text, options):
+    """Any hostile CSV and options: no exception escapes ``cli.main``, the
+    exit code is a documented one (argparse's exit 2 included), and a run
+    that exits 0 raised no RuntimeWarning."""
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "data.csv"
+        path.write_text(text)
+        argv = options + ["--input", str(path), "--output", str(Path(workdir) / "out")]
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (cli.EXIT_OK, cli.EXIT_IO, cli.EXIT_CONFIG, cli.EXIT_NUMERIC)
+    if code == cli.EXIT_OK:
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestCheck:

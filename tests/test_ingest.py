@@ -438,3 +438,13 @@ class TestUnitColumns:
         data = DataMatrix(np.array([[3.0, 0.0], [4.0, 0.0]]))
         out = ingest.unit_columns(data)
         assert np.array_equal(out.x[:, 1], [0.0, 0.0])
+
+    @pytest.mark.parametrize("x, expected", [
+        # sum x^2 overflows: the 1e300 column was zeroed
+        ([[1e300, 3.0], [1.0, 4.0]], [[1.0, 0.6], [1e-300, 0.8]]),
+        # sum x^2 underflows: the column came back unchanged
+        ([[1e-170, 3.0], [1e-170, 4.0]], [[0.5**0.5, 0.6], [0.5**0.5, 0.8]]),
+    ], ids=["huge", "tiny"])
+    def test_huge_and_tiny_columns_reach_unit_length(self, x, expected):
+        out = ingest.unit_columns(DataMatrix(np.array(x)))
+        assert np.allclose(out.x, expected, rtol=1e-15, atol=0.0)

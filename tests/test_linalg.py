@@ -203,6 +203,30 @@ class TestMatmul:
         assert within_product_ulps(out, a, b, 4)
 
 
+class TestColumnNorms:
+    @pytest.mark.parametrize("shape", [(1, 2), (7, 2), (5, 7), (30, 300), (64, 64)])
+    def test_matches_numpy_bit_for_bit(self, shape):
+        a = np.random.default_rng(list(shape)).standard_normal(shape)
+        assert np.array_equal(linalg.column_norms(a), np.linalg.norm(a, axis=0))
+
+    def test_huge_tiny_and_zero_columns(self):
+        a = np.array([[1e300, 1e-170, 5e-324, 0.0, 3.0], [1.0, 1e-170, 0.0, 0.0, 4.0]])
+        expected = [1e300, 2**0.5 * 1e-170, 5e-324, 0.0, 5.0]
+        assert np.allclose(linalg.column_norms(a), expected, rtol=1e-15, atol=0.0)
+
+    def test_allocates_no_d_by_n_temporary(self):
+        a = np.random.default_rng(1).standard_normal((200, 500))
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            linalg.column_norms(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a^2 or |a| would be 800 KB; the norms are 4 KB
+        assert peak - start <= 0.1 * a.nbytes
+
+
 class TestSymEigen:
     @pytest.mark.parametrize("n, seed", [(5, 0), (40, 1), (200, 2)])
     def test_dense_path_bit_identical_to_numpy_eigh(self, n, seed):

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import json
 import os
@@ -690,40 +689,57 @@ class TestGroupingEffectStats:
 class TestReportSerialization:
     def test_segmentation_report_round_trip(self):
         report = metrics.SegmentationReport(
+            spectral.Labeling(np.array([0] * 20 + [1] * 20), 2),
             error_rate=0.05,
             aligned_permutation={0: 1, 1: 0},
             block_diag_violation=0.01,
             wall_times={"solve": 0.2},
-            n_samples=40,
-            n_clusters=2,
-            predicted_labels=[0] * 20 + [1] * 20,
         )
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["error_rate"] == 0.05
+        assert payload["n_samples"] == 40
+        assert payload["n_clusters"] == 2
         # whether truth was available is stated once, by error_rate
         assert "truth_available" not in payload
 
     @pytest.mark.parametrize("truth", [True, False])
-    def test_to_dict_matches_asdict(self, truth):
-        report = metrics.SegmentationReport(
-            error_rate=0.25 if truth else None,
-            aligned_permutation={0: 1, 1: 0} if truth else None,
-            block_diag_violation=0.125,
-            wall_times={"solve": 0.5, "total": 1.0},
-            n_samples=6,
-            n_clusters=2,
-            predicted_labels=[0, 0, 1, 1, 0, 1],
+    def test_to_dict_is_the_segment_json(self, truth):
+        labeling = spectral.Labeling(
+            np.array([0, 0, 1, 1, 0, 1]),
+            2,
             zero_degree=(3, 4),
             kmeans_objective=2.5,
             lloyd_iterations=3,
             lloyd_converged=True,
             eigengap=0.75,
         )
-        expected = dataclasses.asdict(report)
-        expected["zero_degree"] = list(report.zero_degree)
+        report = metrics.SegmentationReport(
+            labeling,
+            error_rate=0.25 if truth else None,
+            aligned_permutation={0: 1, 1: 0} if truth else None,
+            block_diag_violation=0.125,
+            wall_times={"solve": 0.5, "total": 1.0},
+        )
+        expected = {
+            "error_rate": 0.25 if truth else None,
+            "aligned_permutation": {0: 1, 1: 0} if truth else None,
+            "block_diag_violation": 0.125,
+            "wall_times": {"solve": 0.5, "total": 1.0},
+            "n_samples": 6,
+            "n_clusters": 2,
+            "predicted_labels": [0, 0, 1, 1, 0, 1],
+            "degenerate_affinity": False,
+            "eigen_tie": False,
+            "zero_degree": [3, 4],
+            "kmeans_objective": 2.5,
+            "lloyd_iterations": 3,
+            "lloyd_converged": True,
+            "eigengap": 0.75,
+        }
         d = report.to_dict()
         assert json.dumps(d, indent=2) == json.dumps(expected, indent=2)
         d["predicted_labels"].append(2)
+        d["zero_degree"].append(5)
         d["wall_times"]["solve"] = 0.0
         if truth:
             d["aligned_permutation"][0] = 0

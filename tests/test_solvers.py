@@ -187,6 +187,14 @@ class TestLsrConstrained:
         coeffs = solvers.lsr_constrained(x)
         assert np.allclose(coeffs.z, [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
 
+    def test_tiny_column_is_fit_not_zeroed(self):
+        # column 3's squared norm underflows: it was taken for a zero column,
+        # with z[:, 3] = 0 and a relative residual of 1. Its fit is the one
+        # of the same column at unit scale, scaled.
+        x = np.array([[1.0, 0.0, 1.0, 1e-170], [0.0, 1.0, 1.0, 1e-170]])
+        z = solvers.lsr_constrained(x).z
+        assert np.allclose(z[:, 3] / 1e-170, [1 / 3, 1 / 3, 2 / 3, 0.0], rtol=1e-12, atol=0.0)
+
     def test_mixing_feasible_solution_is_not_minimal(self):
         # The handwritten mixing matrix reproduces X exactly, yet the
         # minimum-norm solver returns something strictly smaller and block
